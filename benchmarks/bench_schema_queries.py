@@ -6,8 +6,8 @@ scans over all fact types or constraints before the version-stamped
 index layer (``repro.brm.indexes``).  This micro-benchmark replays
 the mapper's query mix over the industrial-shape schema through both
 paths — the indexed :class:`BinarySchema` methods and the retained
-:class:`LinearScanOracle` — asserting they agree and that the indexed
-path wins by a wide margin.
+:class:`LinearScanOracle` (``tests/oracles/brm.py``) — asserting they
+agree and that the indexed path wins by a wide margin.
 """
 
 from time import perf_counter
@@ -16,8 +16,9 @@ import pytest
 
 from bench_industrial_scale import INDUSTRIAL_SHAPE
 from conftest import emit
-from repro.brm.indexes import LinearScanOracle, indexes_for
+from repro.brm.indexes import indexes_for
 from repro.workloads import generate_schema
+from tests.oracles.brm import LinearScanOracle
 
 
 @pytest.fixture(scope="module")

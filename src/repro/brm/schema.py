@@ -529,17 +529,21 @@ class BinarySchema:
 
     def fresh_name(self, stem: str, taken: Iterable[str] = ()) -> str:
         """A name starting with ``stem`` unused by any element category."""
-        used = (
-            set(self._object_types)
-            | set(self._fact_types)
-            | set(self._sublinks)
-            | set(self._constraints)
-            | set(taken)
-        )
-        if stem not in used:
+        taken = set(taken)
+
+        def used(name: str) -> bool:
+            return (
+                name in self._object_types
+                or name in self._fact_types
+                or name in self._sublinks
+                or name in self._constraints
+                or name in taken
+            )
+
+        if not used(stem):
             return stem
         counter = 2
-        while f"{stem}_{counter}" in used:
+        while used(f"{stem}_{counter}"):
             counter += 1
         return f"{stem}_{counter}"
 

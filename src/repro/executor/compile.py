@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import UnknownElementError
 from repro.relational.constraints import (
     CandidateKey,
     CheckConstraint,
@@ -255,7 +256,7 @@ def prunable_rules(mapping) -> dict[str, str]:
     for verdict in sorted(implications.implied, key=lambda v: v.subject):
         try:
             constraint = canonical.constraint(verdict.subject)
-        except Exception:
+        except UnknownElementError:
             continue  # implied constraint did not reach the canonical form
         description = describe_constraint(canonical, constraint)
         premises_enforced = True
@@ -265,7 +266,7 @@ def prunable_rules(mapping) -> dict[str, str]:
                 break
             try:
                 premise_constraint = canonical.constraint(premise)
-            except Exception:
+            except UnknownElementError:
                 premises_enforced = False
                 break
             premise_description = describe_constraint(

@@ -1063,29 +1063,34 @@ def _map_value_constraints(
     provenance: Provenance,
 ) -> None:
     schema = plan.schema
+    # Plan columns by the LOT of their lexical leaf, in plan order.
+    columns_by_lot: dict[str, list] = {}
+    for relation_plan in plan.plans.values():
+        for unit in relation_plan.columns:
+            leaf = getattr(unit.source, "leaf", None)
+            if leaf is not None:
+                columns_by_lot.setdefault(leaf.lot, []).append(
+                    (relation_plan.relation, unit)
+                )
     for constraint in schema.constraints:
         if not isinstance(constraint, ValueConstraint):
             continue
         concept = describe_constraint(schema, constraint)
-        for relation_plan in plan.plans.values():
-            for unit in relation_plan.columns:
-                leaf = getattr(unit.source, "leaf", None)
-                if leaf is None or leaf.lot != constraint.object_type:
-                    continue
-                name = rschema.fresh_constraint_name(naming.VALUE_STEM)
-                predicate: Predicate = InValues(unit.name, constraint.values)
-                if unit.nullable:
-                    predicate = Or((IsNull(unit.name), predicate))
-                rschema.add_constraint(
-                    CheckConstraint(
-                        name,
-                        relation=relation_plan.relation,
-                        predicate=predicate,
-                        comment="Value Restriction",
-                    )
+        for relation, unit in columns_by_lot.get(constraint.object_type, ()):
+            name = rschema.fresh_constraint_name(naming.VALUE_STEM)
+            predicate: Predicate = InValues(unit.name, constraint.values)
+            if unit.nullable:
+                predicate = Or((IsNull(unit.name), predicate))
+            rschema.add_constraint(
+                CheckConstraint(
+                    name,
+                    relation=relation,
+                    predicate=predicate,
+                    comment="Value Restriction",
                 )
-                provenance.add_constraint(name, concept)
-                provenance.add_forward(concept, f"CHECK {predicate.render()}")
+            )
+            provenance.add_constraint(name, concept)
+            provenance.add_forward(concept, f"CHECK {predicate.render()}")
 
 
 def _record_object_type_forward(

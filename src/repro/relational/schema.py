@@ -13,6 +13,7 @@ carry the semantics the plain relational model cannot express
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.brm.datatypes import DataType
@@ -108,6 +109,49 @@ class Relation:
         )
 
 
+class _ConstraintIndex:
+    """The schema's constraints by kind, per relation, in insertion order.
+
+    Built from the constraint dict in one pass and extended in place by
+    :meth:`RelationalSchema.add_constraint`; a removal discards it.
+    """
+
+    __slots__ = (
+        "primary",
+        "candidates",
+        "foreign",
+        "checks",
+        "all_foreign",
+        "all_checks",
+        "views",
+    )
+
+    def __init__(self, constraints: Iterable[RelationalConstraint]) -> None:
+        self.primary: dict[str, PrimaryKey] = {}
+        self.candidates: dict[str, list[CandidateKey]] = {}
+        self.foreign: dict[str, list[ForeignKey]] = {}
+        self.checks: dict[str, list[CheckConstraint]] = {}
+        self.all_foreign: list[ForeignKey] = []
+        self.all_checks: list[CheckConstraint] = []
+        self.views: list[RelationalConstraint] = []
+        for constraint in constraints:
+            self.add(constraint)
+
+    def add(self, constraint: RelationalConstraint) -> None:
+        if isinstance(constraint, PrimaryKey):
+            self.primary.setdefault(constraint.relation, constraint)
+        elif isinstance(constraint, CandidateKey):
+            self.candidates.setdefault(constraint.relation, []).append(constraint)
+        elif isinstance(constraint, ForeignKey):
+            self.foreign.setdefault(constraint.relation, []).append(constraint)
+            self.all_foreign.append(constraint)
+        elif isinstance(constraint, CheckConstraint):
+            self.checks.setdefault(constraint.relation, []).append(constraint)
+            self.all_checks.append(constraint)
+        elif isinstance(constraint, (EqualityViewConstraint, SubsetViewConstraint)):
+            self.views.append(constraint)
+
+
 class RelationalSchema:
     """The generic relational schema: domains, relations, constraints."""
 
@@ -118,6 +162,10 @@ class RelationalSchema:
         self._domains: dict[str, Domain] = {}
         self._relations: dict[str, Relation] = {}
         self._constraints: dict[str, RelationalConstraint] = {}
+        # Built on first lookup; None after a removal or in a fresh copy.
+        self._index: _ConstraintIndex | None = None
+        # stem -> n such that every ``stem_k`` with k < n is taken.
+        self._fresh_floor: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Element management
@@ -191,6 +239,8 @@ class RelationalSchema:
             )
         self._check_constraint_specifics(constraint)
         self._constraints[constraint.name] = constraint
+        if self._index is not None:
+            self._index.add(constraint)
         return constraint
 
     def remove_constraint(self, name: str) -> None:
@@ -198,6 +248,11 @@ class RelationalSchema:
         if name not in self._constraints:
             raise UnknownElementError("constraint", name)
         del self._constraints[name]
+        self._index = None
+        stem, _, suffix = name.rpartition("_")
+        floor = self._fresh_floor.get(stem)
+        if floor is not None and suffix.isdecimal() and 0 < int(suffix) < floor:
+            self._fresh_floor[stem] = int(suffix)
 
     def _constraint_dangles(self, constraint: RelationalConstraint) -> bool:
         for relation_name, columns in constraint.columns_used().items():
@@ -296,23 +351,18 @@ class RelationalSchema:
             if relation_name in c.relations_used()
         ]
 
+    def _by_kind(self) -> _ConstraintIndex:
+        if self._index is None:
+            self._index = _ConstraintIndex(self._constraints.values())
+        return self._index
+
     def primary_key(self, relation_name: str) -> PrimaryKey | None:
         """The relation's primary key constraint, if declared."""
-        for constraint in self._constraints.values():
-            if (
-                isinstance(constraint, PrimaryKey)
-                and constraint.relation == relation_name
-            ):
-                return constraint
-        return None
+        return self._by_kind().primary.get(relation_name)
 
     def candidate_keys(self, relation_name: str) -> list[CandidateKey]:
         """All candidate key constraints on the relation."""
-        return [
-            c
-            for c in self._constraints.values()
-            if isinstance(c, CandidateKey) and c.relation == relation_name
-        ]
+        return list(self._by_kind().candidates.get(relation_name, ()))
 
     def keys_of(self, relation_name: str) -> list[tuple[str, ...]]:
         """Primary plus candidate key column tuples of the relation."""
@@ -325,37 +375,30 @@ class RelationalSchema:
 
     def foreign_keys(self, relation_name: str | None = None) -> list[ForeignKey]:
         """Foreign keys, optionally restricted to one source relation."""
-        return [
-            c
-            for c in self._constraints.values()
-            if isinstance(c, ForeignKey)
-            and (relation_name is None or c.relation == relation_name)
-        ]
+        index = self._by_kind()
+        if relation_name is None:
+            return list(index.all_foreign)
+        return list(index.foreign.get(relation_name, ()))
 
     def checks(self, relation_name: str | None = None) -> list[CheckConstraint]:
         """CHECK constraints, optionally restricted to one relation."""
-        return [
-            c
-            for c in self._constraints.values()
-            if isinstance(c, CheckConstraint)
-            and (relation_name is None or c.relation == relation_name)
-        ]
+        index = self._by_kind()
+        if relation_name is None:
+            return list(index.all_checks)
+        return list(index.checks.get(relation_name, ()))
 
     def view_constraints(self) -> list[RelationalConstraint]:
         """The extended (equality/subset view) constraints — the
         lossless rules most RDBMSs cannot enforce natively."""
-        return [
-            c
-            for c in self._constraints.values()
-            if isinstance(c, (EqualityViewConstraint, SubsetViewConstraint))
-        ]
+        return list(self._by_kind().views)
 
     # ------------------------------------------------------------------
     # Whole-schema operations
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "RelationalSchema":
-        """An independent copy of the schema."""
+        """An independent copy of the schema (its index is rebuilt on
+        first lookup)."""
         duplicate = RelationalSchema(name or self.name)
         duplicate._domains = dict(self._domains)
         duplicate._relations = dict(self._relations)
@@ -363,10 +406,16 @@ class RelationalSchema:
         return duplicate
 
     def fresh_constraint_name(self, stem: str) -> str:
-        """An unused constraint name with the paper's ``STEM$_n`` style."""
-        counter = 1
+        """The unused constraint name ``STEM_n`` (the paper's ``STEM$_n``
+        style) with the smallest ``n >= 1``.
+
+        The search resumes from a per-stem floor below which every
+        name is known to be taken; removing a ``STEM_k`` lowers it.
+        """
+        counter = self._fresh_floor.get(stem, 1)
         while f"{stem}_{counter}" in self._constraints:
             counter += 1
+        self._fresh_floor[stem] = counter
         return f"{stem}_{counter}"
 
     def stats(self) -> dict[str, int]:

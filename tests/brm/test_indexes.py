@@ -3,10 +3,10 @@ version-stamp semantics the index/memo layers are built on.
 
 The equivalence tests replay every navigation query through both the
 indexed :class:`BinarySchema` methods and the retained
-:class:`LinearScanOracle` after randomized mutation sequences; the
-version tests pin down the invalidation contract (every mutator
-bumps, copies share stamps, constraint-only mutations invalidate the
-memoized ``analyze()``/``SubsetGraph``).
+:class:`LinearScanOracle` (``tests/oracles/brm.py``) after randomized
+mutation sequences; the version tests pin down the invalidation
+contract (every mutator bumps, copies share stamps, constraint-only
+mutations invalidate the memoized ``analyze()``/``SubsetGraph``).
 """
 
 import random
@@ -32,9 +32,10 @@ from repro.brm import (
     lot,
     nolot,
 )
-from repro.brm.indexes import LinearScanOracle, indexes_for
+from repro.brm.indexes import indexes_for
 from repro.errors import DuplicateNameError, SchemaError
 from repro.workloads import SchemaShape, generate_schema
+from tests.oracles.brm import LinearScanOracle
 
 
 def assert_indexed_equals_oracle(schema: BinarySchema) -> None:

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.brm import SchemaBuilder, char
+from repro.errors import UnknownElementError
 from repro.executor import run_validation
 from repro.executor.compile import compile_rules, prunable_rules
 from repro.mapper import map_schema
@@ -94,6 +95,28 @@ class TestPrunableRules:
 
         result = map_schema(cris_schema(), MappingOptions())
         assert prunable_rules(result) == {}
+
+    def test_missing_canonical_constraint_is_skipped(self, monkeypatch):
+        result = map_schema(redundant_subset_schema(), MappingOptions())
+
+        def missing(name):
+            raise UnknownElementError("constraint", name)
+
+        monkeypatch.setattr(result.canonical, "constraint", missing)
+        assert prunable_rules(result) == {}
+
+    def test_other_lookup_errors_propagate(self, monkeypatch):
+        # Only a missing constraint means "not in the canonical form";
+        # any other failure is a bug and must not silently change
+        # which rules are enforced.
+        result = map_schema(redundant_subset_schema(), MappingOptions())
+
+        def broken(name):
+            raise RuntimeError(f"lookup of {name} failed")
+
+        monkeypatch.setattr(result.canonical, "constraint", broken)
+        with pytest.raises(RuntimeError, match="lookup of"):
+            prunable_rules(result)
 
     def test_compile_rules_requires_mapping_for_pruning(self):
         result = map_schema(redundant_subset_schema(), MappingOptions())
