@@ -12,25 +12,16 @@ Populations are what schema transformations map forward and backward
 of its schema (:meth:`Population.check`) is how the test suite
 verifies losslessness empirically.
 
-Two representations share those semantics:
-
-* :class:`Population` — the row-at-a-time reference: plain sets of
-  instances and of ``(first, second)`` pairs, checked tuple by tuple.
-* :class:`ColumnarPopulation` — the kernel representation behind the
-  1e6-row validation harness: instances are *interned* to dense
-  integer ids, each fact type stores its pairs as id sets with lazily
-  materialized parallel columns, and the per-role lookups the forward
-  state map and the constraint checks need (co-filler groups, the
-  deterministic "first filler by repr" functional maps) are built
-  once per fact and reused, so whole-population work becomes set and
-  dictionary-batch operations instead of per-instance probes.
-
-Conversion is lossless in both directions
-(:meth:`ColumnarPopulation.from_population` /
-:meth:`ColumnarPopulation.to_population`), and the two agree on
-validity, ``facts_of`` and state equality — property-tested against
-each other the same way the schema indexes are pinned to their
-linear-scan oracle.
+The storage is built for whole-population kernels: instances are
+*interned* to dense integer ids, each fact type stores its pairs as an
+id-pair set with lazily materialized parallel columns, and the
+per-role lookups the forward state map and the constraint checks need
+(co-filler groups, the deterministic "first filler by repr"
+functional maps) are built once per fact and reused, so
+whole-population work is set and dictionary-batch operations instead
+of per-instance probes.  The value-level API (``instances``,
+``facts_of``, ``add_fact`` ...) reads and writes through the intern
+table.
 """
 
 from __future__ import annotations
@@ -71,488 +62,11 @@ class Violation:
 
 
 class Population:
-    """A database state for a :class:`BinarySchema`."""
+    """A database state for a :class:`BinarySchema`: interned ids + role
+    columns.
 
-    def __init__(self, schema: BinarySchema) -> None:
-        self.schema = schema
-        self._objects: dict[str, set[Instance]] = {
-            t.name: set() for t in schema.object_types
-        }
-        self._facts: dict[str, set[tuple[Instance, Instance]]] = {
-            f.name: set() for f in schema.fact_types
-        }
-        # Lazy per-fact co-role lookup (instance -> co-fillers), tagged
-        # with the fact-mutation version so any add/remove invalidates
-        # it.  Forward state mapping calls :meth:`facts_of` once per
-        # instance per lexical-leg component; without the index each
-        # call scans the whole fact population (quadratic at scale).
-        self._facts_version = 0
-        self._co_index: dict[
-            str, tuple[int, tuple[dict, dict]]
-        ] = {}
-        # Object-population version plus a sorted-instances cache:
-        # the bulk generator and the state maps repeatedly need "the
-        # instances of T in deterministic order", and re-sorting an
-        # unchanged population is O(n log n) per probe.  The cache is
-        # keyed per type: mutating one type (and its propagation
-        # closure) must not evict every other type's sorted column.
-        self._objects_version = 0
-        self._type_versions: dict[str, int] = {}
-        self._sorted_cache: dict[str, tuple[int, list[Instance]]] = {}
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def add_instance(self, type_name: str, instance: Instance) -> Instance:
-        """Add an instance to an object type and all its supertypes.
-
-        Supertype propagation keeps the population conformant with the
-        extensional subtype semantics by construction.
-        """
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        self._objects_version += 1
-        version = self._objects_version
-        self._objects[type_name].add(instance)
-        self._type_versions[type_name] = version
-        for ancestor in self.schema.ancestors_of(type_name):
-            self._objects[ancestor].add(instance)
-            self._type_versions[ancestor] = version
-        return instance
-
-    def add_instances(self, type_name: str, instances: Iterable[Instance]) -> None:
-        """Add several instances to an object type (one bulk update)."""
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        new = set(instances)
-        if not new:
-            return
-        self._objects_version += 1
-        version = self._objects_version
-        self._objects[type_name].update(new)
-        self._type_versions[type_name] = version
-        for ancestor in self.schema.ancestors_of(type_name):
-            self._objects[ancestor].update(new)
-            self._type_versions[ancestor] = version
-
-    def add_fact(
-        self, fact_name: str, first: Instance, second: Instance
-    ) -> tuple[Instance, Instance]:
-        """Add a fact instance; both fillers are auto-added to the players.
-
-        Auto-adding mirrors how NIAM diagrams are populated: placing a
-        pair in a fact's population asserts the existence of both
-        objects.
-        """
-        if fact_name not in self._facts:
-            raise PopulationError(f"no fact type {fact_name!r} in the schema")
-        fact = self.schema.fact_type(fact_name)
-        self.add_instance(fact.first.player, first)
-        self.add_instance(fact.second.player, second)
-        self._facts[fact_name].add((first, second))
-        self._facts_version += 1
-        return (first, second)
-
-    def add_facts(
-        self, fact_name: str, pairs: Iterable[tuple[Instance, Instance]]
-    ) -> None:
-        """Add many fact instances in one batched update.
-
-        Equivalent to calling :meth:`add_fact` per pair, but the
-        filler auto-adds and ancestor propagation run once per filler
-        set instead of once per pair — the bulk path the state maps
-        use at harness scale.
-        """
-        if fact_name not in self._facts:
-            raise PopulationError(f"no fact type {fact_name!r} in the schema")
-        pairs = list(pairs)
-        if not pairs:
-            return
-        fact = self.schema.fact_type(fact_name)
-        self.add_instances(fact.first.player, (pair[0] for pair in pairs))
-        self.add_instances(fact.second.player, (pair[1] for pair in pairs))
-        self._facts[fact_name].update(pairs)
-        self._facts_version += 1
-
-    def remove_fact(self, fact_name: str, first: Instance, second: Instance) -> None:
-        """Remove one fact instance (object populations are untouched)."""
-        try:
-            self._facts[fact_name].remove((first, second))
-            self._facts_version += 1
-        except KeyError:
-            raise PopulationError(
-                f"fact {fact_name!r} has no instance ({first!r}, {second!r})"
-            ) from None
-
-    def discard_instance(self, type_name: str, instance: Instance) -> None:
-        """Remove an instance from a type and all its subtypes.
-
-        The instance stays in supertypes (use the root type to remove
-        it entirely); facts referencing it are untouched — conformance
-        checking will flag them, so callers should retract facts first.
-        """
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        if instance not in self._objects[type_name]:
-            raise PopulationError(
-                f"{instance!r} is not an instance of {type_name!r}"
-            )
-        self._objects_version += 1
-        version = self._objects_version
-        self._objects[type_name].discard(instance)
-        self._type_versions[type_name] = version
-        for descendant in self.schema.descendants_of(type_name):
-            self._objects[descendant].discard(instance)
-            self._type_versions[descendant] = version
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-
-    def instances(self, type_name: str) -> frozenset[Instance]:
-        """The population of an object type."""
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        return frozenset(self._objects[type_name])
-
-    def sorted_instances(self, type_name: str) -> list[Instance]:
-        """The population of an object type, sorted by ``repr``.
-
-        Cached against the *per-type* population version: repeated
-        probes of an unchanged type (the bulk generator's inner
-        loops) pay one list copy instead of a fresh sort, even while
-        other types keep mutating.
-        """
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        version = self._type_versions.get(type_name, 0)
-        cached = self._sorted_cache.get(type_name)
-        if cached is None or cached[0] != version:
-            cached = (
-                version,
-                sorted(self._objects[type_name], key=repr),
-            )
-            self._sorted_cache[type_name] = cached
-        return list(cached[1])
-
-    def fact_instances(self, fact_name: str) -> frozenset[tuple[Instance, Instance]]:
-        """The population of a fact type: a set of (first, second) pairs."""
-        if fact_name not in self._facts:
-            raise PopulationError(f"no fact type {fact_name!r} in the schema")
-        return frozenset(self._facts[fact_name])
-
-    def role_population(self, role_id: RoleId) -> frozenset[Instance]:
-        """The set of instances actually playing a role."""
-        fact = self.schema.fact_type(role_id.fact)
-        position = fact.position_of(role_id.role)
-        return frozenset(pair[position] for pair in self._facts[fact.name])
-
-    def role_occurrences(self, role_id: RoleId) -> dict[Instance, int]:
-        """How many times each instance plays the role."""
-        fact = self.schema.fact_type(role_id.fact)
-        position = fact.position_of(role_id.role)
-        counts: dict[Instance, int] = {}
-        for pair in self._facts[fact.name]:
-            counts[pair[position]] = counts.get(pair[position], 0) + 1
-        return counts
-
-    def item_population(self, item: ConstraintItem) -> frozenset[Instance]:
-        """The population a set-algebraic constraint item ranges over."""
-        if isinstance(item, RoleId):
-            return self.role_population(item)
-        sublink = self.schema.sublink(item.sublink)
-        return self.instances(sublink.subtype)
-
-    def facts_of(
-        self, fact_name: str, role_name: str, instance: Instance
-    ) -> frozenset[Instance]:
-        """Co-role fillers linked to ``instance`` through the fact type."""
-        fact = self.schema.fact_type(fact_name)
-        position = fact.position_of(role_name)
-        cached = self._co_index.get(fact_name)
-        if cached is None or cached[0] != self._facts_version:
-            grouped: tuple[dict, dict] = ({}, {})
-            for pair in self._facts[fact_name]:
-                grouped[0].setdefault(pair[0], set()).add(pair[1])
-                grouped[1].setdefault(pair[1], set()).add(pair[0])
-            index = (
-                {k: frozenset(v) for k, v in grouped[0].items()},
-                {k: frozenset(v) for k, v in grouped[1].items()},
-            )
-            cached = (self._facts_version, index)
-            self._co_index[fact_name] = cached
-        return cached[1][position].get(instance, frozenset())
-
-    def is_empty(self) -> bool:
-        """True when no object type has any instance."""
-        return not any(self._objects.values())
-
-    # ------------------------------------------------------------------
-    # Model checking
-    # ------------------------------------------------------------------
-
-    def check(self) -> list[Violation]:
-        """All ways this population fails to be a model of its schema."""
-        violations: list[Violation] = []
-        violations.extend(self._check_conformance())
-        for constraint in self.schema.constraints:
-            violations.extend(self._check_constraint(constraint))
-        return violations
-
-    def is_valid(self) -> bool:
-        """True when the population is a model of its schema."""
-        return not self.check()
-
-    def validate(self) -> None:
-        """Raise :class:`PopulationError` listing every violation."""
-        violations = self.check()
-        if violations:
-            summary = "; ".join(str(v) for v in violations[:10])
-            if len(violations) > 10:
-                summary += f"; ... ({len(violations) - 10} more)"
-            raise PopulationError(summary)
-
-    def _check_conformance(self) -> list[Violation]:
-        violations = []
-        for fact in self.schema.fact_types:
-            for first, second in self._facts[fact.name]:
-                if first not in self._objects[fact.first.player]:
-                    violations.append(
-                        Violation(
-                            "conformance",
-                            f"fact {fact.name!r}: filler {first!r} is not an "
-                            f"instance of {fact.first.player!r}",
-                        )
-                    )
-                if second not in self._objects[fact.second.player]:
-                    violations.append(
-                        Violation(
-                            "conformance",
-                            f"fact {fact.name!r}: filler {second!r} is not an "
-                            f"instance of {fact.second.player!r}",
-                        )
-                    )
-        for sublink in self.schema.sublinks:
-            stray = self._objects[sublink.subtype] - self._objects[sublink.supertype]
-            for instance in stray:
-                violations.append(
-                    Violation(
-                        "conformance",
-                        f"sublink {sublink.name!r}: {instance!r} is in subtype "
-                        f"{sublink.subtype!r} but not in supertype "
-                        f"{sublink.supertype!r}",
-                    )
-                )
-        return violations
-
-    def _check_constraint(self, constraint: Constraint) -> list[Violation]:
-        if isinstance(constraint, UniquenessConstraint):
-            return self._check_uniqueness(constraint)
-        if isinstance(constraint, TotalUnionConstraint):
-            return self._check_total(constraint)
-        if isinstance(constraint, ExclusionConstraint):
-            return self._check_exclusion(constraint)
-        if isinstance(constraint, SubsetConstraint):
-            return self._check_subset(constraint)
-        if isinstance(constraint, EqualityConstraint):
-            return self._check_equality(constraint)
-        if isinstance(constraint, FrequencyConstraint):
-            return self._check_frequency(constraint)
-        if isinstance(constraint, ValueConstraint):
-            return self._check_value(constraint)
-        return []
-
-    def _check_uniqueness(self, constraint: UniquenessConstraint) -> list[Violation]:
-        if constraint.is_simple:
-            role_id = constraint.roles[0]
-            duplicates = [
-                instance
-                for instance, count in self.role_occurrences(role_id).items()
-                if count > 1
-            ]
-            return [
-                Violation(
-                    constraint.name,
-                    f"instance {instance!r} plays role {role_id} more than once",
-                )
-                for instance in duplicates
-            ]
-        if not constraint.is_external:
-            # Uniqueness spanning both roles of one fact type: fact
-            # populations are sets of pairs, so this is satisfied by
-            # construction.
-            return []
-        return self._check_external_uniqueness(constraint)
-
-    def _check_external_uniqueness(
-        self, constraint: UniquenessConstraint
-    ) -> list[Violation]:
-        """External uniqueness: the combination of far-role fillers
-        identifies at most one instance of the common (co-role) player."""
-        value_maps: list[dict[Instance, frozenset[Instance]]] = []
-        for role_id in constraint.roles:
-            fact = self.schema.fact_type(role_id.fact)
-            far_position = fact.position_of(role_id.role)
-            near_position = 1 - far_position
-            mapping: dict[Instance, set[Instance]] = {}
-            for pair in self._facts[fact.name]:
-                mapping.setdefault(pair[near_position], set()).add(
-                    pair[far_position]
-                )
-            value_maps.append(
-                {common: frozenset(values) for common, values in mapping.items()}
-            )
-        combos: dict[tuple[Instance, ...], Instance] = {}
-        violations = []
-        shared = set(value_maps[0])
-        for mapping in value_maps[1:]:
-            shared &= set(mapping)
-        for common in shared:
-            value_sets = [sorted(mapping[common], key=repr) for mapping in value_maps]
-            for combo in itertools.product(*value_sets):
-                previous = combos.get(combo)
-                if previous is not None and previous != common:
-                    violations.append(
-                        Violation(
-                            constraint.name,
-                            f"combination {combo!r} identifies both "
-                            f"{previous!r} and {common!r}",
-                        )
-                    )
-                combos[combo] = common
-        return violations
-
-    def _check_total(self, constraint: TotalUnionConstraint) -> list[Violation]:
-        covered: set[Instance] = set()
-        for item in constraint.items:
-            covered |= self.item_population(item)
-        missing = self._objects[constraint.object_type] - covered
-        return [
-            Violation(
-                constraint.name,
-                f"instance {instance!r} of {constraint.object_type!r} plays "
-                "none of the required roles/subtypes",
-            )
-            for instance in missing
-        ]
-
-    def _check_exclusion(self, constraint: ExclusionConstraint) -> list[Violation]:
-        violations = []
-        populations = [
-            (item, self.item_population(item)) for item in constraint.items
-        ]
-        for (item_a, pop_a), (item_b, pop_b) in itertools.combinations(
-            populations, 2
-        ):
-            for instance in pop_a & pop_b:
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"instance {instance!r} populates both {item_a} and "
-                        f"{item_b}, which are mutually exclusive",
-                    )
-                )
-        return violations
-
-    def _check_subset(self, constraint: SubsetConstraint) -> list[Violation]:
-        stray = self.item_population(constraint.subset) - self.item_population(
-            constraint.superset
-        )
-        return [
-            Violation(
-                constraint.name,
-                f"instance {instance!r} populates {constraint.subset} but "
-                f"not {constraint.superset}",
-            )
-            for instance in stray
-        ]
-
-    def _check_equality(self, constraint: EqualityConstraint) -> list[Violation]:
-        reference = self.item_population(constraint.items[0])
-        violations = []
-        for item in constraint.items[1:]:
-            population = self.item_population(item)
-            if population != reference:
-                difference = population ^ reference
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"populations of {constraint.items[0]} and {item} "
-                        f"differ on {sorted(difference, key=repr)!r}",
-                    )
-                )
-        return violations
-
-    def _check_frequency(self, constraint: FrequencyConstraint) -> list[Violation]:
-        violations = []
-        for instance, count in self.role_occurrences(constraint.role).items():
-            if count < constraint.minimum or (
-                constraint.maximum is not None and count > constraint.maximum
-            ):
-                bound = (
-                    f"{constraint.minimum}..{constraint.maximum}"
-                    if constraint.maximum is not None
-                    else f">={constraint.minimum}"
-                )
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"instance {instance!r} plays role {constraint.role} "
-                        f"{count} times (allowed: {bound})",
-                    )
-                )
-        return violations
-
-    def _check_value(self, constraint: ValueConstraint) -> list[Violation]:
-        allowed = set(constraint.values)
-        return [
-            Violation(
-                constraint.name,
-                f"instance {instance!r} of {constraint.object_type!r} is not "
-                f"among the allowed values",
-            )
-            for instance in self._objects[constraint.object_type] - allowed
-        ]
-
-    # ------------------------------------------------------------------
-    # Whole-population operations
-    # ------------------------------------------------------------------
-
-    def copy(self) -> "Population":
-        """An independent copy bound to the same schema object."""
-        duplicate = Population(self.schema)
-        duplicate._objects = {name: set(pop) for name, pop in self._objects.items()}
-        duplicate._facts = {name: set(pop) for name, pop in self._facts.items()}
-        return duplicate
-
-    def as_dict(self) -> dict[str, object]:
-        """A canonical, comparable snapshot of the state."""
-        return {
-            "objects": {name: frozenset(pop) for name, pop in self._objects.items()},
-            "facts": {name: frozenset(pop) for name, pop in self._facts.items()},
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Population):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        objects = sum(len(pop) for pop in self._objects.values())
-        facts = sum(len(pop) for pop in self._facts.values())
-        return (
-            f"<Population of {self.schema.name!r}: {objects} object "
-            f"instances, {facts} fact instances>"
-        )
-
-
-class ColumnarPopulation:
-    """A database state in columnar form: interned ids + role columns.
-
-    Same model-theoretic semantics as :class:`Population` — object
-    types hold instance *sets*, fact types hold pair *sets* — but the
-    storage is built for whole-population kernels:
+    Object types hold instance *sets*, fact types hold pair *sets*;
+    the layout serves whole-population kernels:
 
     * every instance value is interned once to a dense integer id
       (``self._values[id]`` recovers the value);
@@ -563,11 +77,6 @@ class ColumnarPopulation:
     * constraint checking (:meth:`check`) runs on id sets and column
       counters, touching individual instances only to phrase the
       violations actually found.
-
-    The class is the substrate of the batch forward state map and of
-    the 1e6-row validation harness; its agreement with the
-    tuple-at-a-time :class:`Population` on validity, ``facts_of``,
-    round-trips and state equality is property-tested.
     """
 
     def __init__(self, schema: BinarySchema) -> None:
@@ -611,7 +120,7 @@ class ColumnarPopulation:
         """The id of a value, or ``None`` when never interned."""
         return self._intern.get(value)
 
-    def seed_intern_from(self, other: "ColumnarPopulation") -> None:
+    def seed_intern_from(self, other: "Population") -> None:
         """Adopt another population's value interning (id-aligned).
 
         Populating a fresh population with (mostly) the same values as
@@ -653,17 +162,12 @@ class ColumnarPopulation:
     # ------------------------------------------------------------------
 
     def add_instance(self, type_name: str, instance: Instance) -> Instance:
-        """Add an instance to a type and all its supertypes."""
-        if type_name not in self._objects:
-            raise PopulationError(f"no object type {type_name!r} in the schema")
-        interned = self.intern(instance)
-        self._version += 1
-        version = self._version
-        self._objects[type_name].add(interned)
-        self._type_versions[type_name] = version
-        for ancestor in self.schema.ancestors_of(type_name):
-            self._objects[ancestor].add(interned)
-            self._type_versions[ancestor] = version
+        """Add an instance to an object type and all its supertypes.
+
+        Supertype propagation keeps the population conformant with the
+        extensional subtype semantics by construction.
+        """
+        self.add_instances(type_name, (instance,))
         return instance
 
     def add_instances(self, type_name: str, instances: Iterable[Instance]) -> None:
@@ -696,14 +200,13 @@ class ColumnarPopulation:
     def add_fact(
         self, fact_name: str, first: Instance, second: Instance
     ) -> tuple[Instance, Instance]:
-        """Add a fact instance; both fillers are auto-added."""
-        if fact_name not in self._pairs:
-            raise PopulationError(f"no fact type {fact_name!r} in the schema")
-        fact = self.schema.fact_type(fact_name)
-        self.add_instance(fact.first.player, first)
-        self.add_instance(fact.second.player, second)
-        self._pairs[fact_name].add((self.intern(first), self.intern(second)))
-        self._version += 1
+        """Add a fact instance; both fillers are auto-added to the players.
+
+        Auto-adding mirrors how NIAM diagrams are populated: placing a
+        pair in a fact's population asserts the existence of both
+        objects.
+        """
+        self.add_facts(fact_name, [(first, second)])
         return (first, second)
 
     def add_facts(
@@ -721,10 +224,11 @@ class ColumnarPopulation:
         pairs = pairs if isinstance(pairs, list) else list(pairs)
         if not pairs:
             return
-        firsts = self.intern_all(map(operator.itemgetter(0), pairs))
-        seconds = self.intern_all(map(operator.itemgetter(1), pairs))
-        self._add_pairs(fact_name, list(zip(firsts, seconds)),
-                        set(firsts), set(seconds))
+        self.add_fact_id_columns(
+            fact_name,
+            self.intern_all(map(operator.itemgetter(0), pairs)),
+            self.intern_all(map(operator.itemgetter(1), pairs)),
+        )
 
     def add_fact_id_columns(
         self, fact_name: str, firsts: list[int], seconds: list[int]
@@ -800,7 +304,12 @@ class ColumnarPopulation:
             ) from None
 
     def discard_instance(self, type_name: str, instance: Instance) -> None:
-        """Remove an instance from a type and all its subtypes."""
+        """Remove an instance from a type and all its subtypes.
+
+        The instance stays in supertypes (use the root type to remove
+        it entirely); facts referencing it are untouched — conformance
+        checking will flag them, so callers should retract facts first.
+        """
         if type_name not in self._objects:
             raise PopulationError(f"no object type {type_name!r} in the schema")
         interned = self._intern.get(instance)
@@ -815,38 +324,6 @@ class ColumnarPopulation:
         for descendant in self.schema.descendants_of(type_name):
             self._objects[descendant].discard(interned)
             self._type_versions[descendant] = version
-
-    # ------------------------------------------------------------------
-    # Conversion
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_population(cls, population: Population) -> "ColumnarPopulation":
-        """A lossless columnar image of a row-at-a-time population."""
-        columnar = cls(population.schema)
-        intern = columnar.intern
-        for name, members in population._objects.items():
-            columnar._objects[name].update(intern(value) for value in members)
-        for name, pairs in population._facts.items():
-            columnar._pairs[name].update(
-                (intern(first), intern(second)) for first, second in pairs
-            )
-        columnar._version += 1
-        return columnar
-
-    def to_population(self) -> Population:
-        """The equivalent row-at-a-time population (lossless)."""
-        population = Population(self.schema)
-        values = self._values
-        for name, members in self._objects.items():
-            population._objects[name].update(values[i] for i in members)
-        for name, pairs in self._pairs.items():
-            population._facts[name].update(
-                (values[first], values[second]) for first, second in pairs
-            )
-        population._facts_version += 1
-        population._objects_version += 1
-        return population
 
     # ------------------------------------------------------------------
     # Access — id level (the kernel interface)
@@ -876,6 +353,12 @@ class ColumnarPopulation:
             )
             self._sorted_cache[type_name] = cached
         return cached[1]
+
+    def sorted_instances(self, type_name: str) -> list[Instance]:
+        """The population of an object type as values, in
+        :meth:`ordered_ids` order (sorted by ``repr``)."""
+        values = self._values
+        return [values[i] for i in self.ordered_ids(type_name)]
 
     def sort_ids(self, ids: Iterable[int]) -> list[int]:
         """Ids sorted by the ``repr`` of their values — the row order
@@ -929,8 +412,8 @@ class ColumnarPopulation:
     def first_co(self, fact_name: str, position: int) -> dict[int, int]:
         """The deterministic functional view of a role: id at
         ``position`` -> the co-filler minimizing ``repr`` of its value
-        (exactly the filler the forward state map's ``_follow``
-        picks).  One dictionary per (fact, side), reused across every
+        (the filler the forward state map follows along a lexical
+        leg).  One dictionary per (fact, side), reused across every
         row of a batch instead of per-instance ``facts_of`` probes.
         """
         key = (fact_name, position)
@@ -948,7 +431,7 @@ class ColumnarPopulation:
         return cached[1]
 
     # ------------------------------------------------------------------
-    # Access — value level (Population-compatible)
+    # Access — value level
     # ------------------------------------------------------------------
 
     def instances(self, type_name: str) -> frozenset[Instance]:
@@ -1022,8 +505,7 @@ class ColumnarPopulation:
     def check(self) -> list[Violation]:
         """All ways this population fails to be a model of its schema.
 
-        Same findings (and messages) as :meth:`Population.check`, but
-        the detection passes are id-set and counter operations; the
+        The detection passes are id-set and counter operations; the
         per-instance work happens only for violations actually found,
         so a *valid* population is certified in a handful of
         whole-column operations per constraint.
@@ -1270,9 +752,9 @@ class ColumnarPopulation:
     # Whole-population operations
     # ------------------------------------------------------------------
 
-    def copy(self) -> "ColumnarPopulation":
+    def copy(self) -> "Population":
         """An independent copy bound to the same schema object."""
-        duplicate = ColumnarPopulation(self.schema)
+        duplicate = Population(self.schema)
         duplicate._intern = dict(self._intern)
         duplicate._values = list(self._values)
         duplicate._objects = {
@@ -1282,6 +764,31 @@ class ColumnarPopulation:
             name: set(pairs) for name, pairs in self._pairs.items()
         }
         return duplicate
+
+    def project(self, schema: BinarySchema) -> "Population":
+        """The same state under another schema.
+
+        The projection adopts this population's intern table (ids stay
+        aligned, see :meth:`seed_intern_from`) and receives the
+        instances of every object type and the pairs of every fact
+        type whose name both schemas declare, through
+        :meth:`add_instance_ids` and :meth:`add_pair_ids` — so fillers
+        and supertypes propagate under ``schema`` exactly as
+        :meth:`add_instances` and :meth:`add_facts` propagate them.
+        Names only one schema declares are dropped or start empty.
+        The projection is independent of this population.
+        """
+        projected = Population(schema)
+        projected.seed_intern_from(self)
+        targets = projected._objects
+        for name, members in self._objects.items():
+            if name in targets:
+                projected.add_instance_ids(name, members)
+        pairs = projected._pairs
+        for name, id_pairs in self._pairs.items():
+            if name in pairs:
+                projected.add_pair_ids(name, id_pairs)
+        return projected
 
     def as_dict(self) -> dict[str, object]:
         """A canonical, comparable snapshot of the state (values)."""
@@ -1300,21 +807,17 @@ class ColumnarPopulation:
             },
         }
 
-    def state_diff(
-        self, other: "ColumnarPopulation | Population"
-    ) -> dict[str, int]:
+    def state_diff(self, other: "Population") -> dict[str, int]:
         """Per-type/per-fact symmetric-difference counts vs. another state.
 
-        The columnar replacement for materializing ``as_dict()`` on
-        both sides: ids are translated across intern spaces by value
-        through the other population's intern table (values the other
-        side never interned get unique negative sentinels, so they
-        always count as differing), and each population is compared
-        as id-set algebra.  Empty result iff the two states are equal
-        in the :meth:`__eq__` sense.
+        The alternative to materializing ``as_dict()`` on both sides:
+        ids are translated across intern spaces by value through the
+        other population's intern table (values the other side never
+        interned get unique negative sentinels, so they always count
+        as differing), and each population is compared as id-set
+        algebra.  The other state must declare every name this one
+        does; :meth:`__eq__` is an empty diff over the same names.
         """
-        if not isinstance(other, ColumnarPopulation):
-            other = ColumnarPopulation.from_population(other)
         lookup = other._intern
         translate: list[int] = []
         identity = True
@@ -1351,15 +854,19 @@ class ColumnarPopulation:
         return diff
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ColumnarPopulation, Population)):
-            return self.as_dict() == other.as_dict()
-        return NotImplemented
+        if not isinstance(other, Population):
+            return NotImplemented
+        return (
+            self._objects.keys() == other._objects.keys()
+            and self._pairs.keys() == other._pairs.keys()
+            and not self.state_diff(other)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         objects = sum(len(members) for members in self._objects.values())
         facts = sum(len(pairs) for pairs in self._pairs.values())
         return (
-            f"<ColumnarPopulation of {self.schema.name!r}: {objects} object "
+            f"<Population of {self.schema.name!r}: {objects} object "
             f"instances, {facts} fact instances, "
             f"{len(self._values)} interned values>"
         )

@@ -42,7 +42,7 @@ from repro.brm.objects import ObjectKind
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkRef
 from repro.dsl.lexer import Token, TokenKind, tokenize
-from repro.errors import DslSyntaxError
+from repro.errors import DslSyntaxError, SchemaError
 
 _CONSTRAINT_KINDS = {
     "unique",
@@ -132,7 +132,12 @@ class _Parser:
         }.get(keyword.text)
         if handler is None:
             raise self.fail(f"unknown statement {keyword.text!r}", keyword)
-        handler()
+        try:
+            handler()
+        except (SchemaError, ValueError) as exc:
+            # Model errors (a duplicate or undeclared name, a type
+            # that subtypes itself) surface at the statement keyword.
+            raise self.fail(str(exc), keyword) from exc
         self.end_statement()
 
     def schema_statement(self) -> None:

@@ -73,7 +73,9 @@ class Backend:
     name = "abstract"
     #: How the last :meth:`fetch_columns` read its data: ``"arrow"``
     #: when DuckDB handed whole Arrow columns back, ``"native"`` for
-    #: direct column extraction, ``None`` before any bulk read.
+    #: direct column extraction, ``"fallback"`` when the default
+    #: :meth:`fetch_columns` transposed :meth:`rows`, ``None`` before
+    #: any bulk read.
     read_path: str | None = None
 
     def load_schema(
@@ -114,13 +116,16 @@ class Backend:
     ) -> dict[str, list]:
         """Bulk-read a relation as parallel, row-aligned value columns.
 
-        The read side of the columnar round trip: one list per
-        requested column, in the backend's row order, without ever
-        materializing row dicts.  Backends that cannot provide it
-        raise ``NotImplementedError`` and the harness falls back to
-        the row-at-a-time reference round trip.
+        The read side of the round trip: one list per requested
+        column, in the backend's row order.  Backends override it to
+        skip row dicts entirely; this default transposes :meth:`rows`
+        and records ``read_path = "fallback"``.
         """
-        raise NotImplementedError
+        rows = self.rows(relation)
+        self.read_path = "fallback"
+        return {
+            column: [row.get(column) for row in rows] for column in columns
+        }
 
     def count_rows(self, relation: str) -> int:
         raise NotImplementedError

@@ -393,7 +393,7 @@ def _run_group(task: _GroupTask) -> list[CandidateOutcome]:
             robustness=task.robustness,
             extra_rules=task.extra_rules,
         )
-    except Exception as exc:
+    except Exception as exc:  # reported per candidate, never aborts advise
         return [
             CandidateOutcome(
                 index=index,
@@ -423,7 +423,7 @@ def _run_group(task: _GroupTask) -> list[CandidateOutcome]:
                     ),
                 )
             )
-        except Exception as exc:
+        except Exception as exc:  # one failed candidate must not sink the rest
             outcomes.append(
                 CandidateOutcome(
                     index=index,

@@ -102,7 +102,7 @@ class _PhaseRunner:
         backup = fallback.snapshot()
         try:
             return self.run(name, fn)
-        except Exception as exc:
+        except Exception as exc:  # best-effort: any phase failure rolls back
             self.state.restore(entry)
             self.health.rollback(f"phase:{name}", f"rolled back after {exc!r}")
             self.health.degrade(f"mapping option phase {name!r} skipped: {exc}")

@@ -62,12 +62,10 @@ class MappingResult:
     ) -> Population:
         """Rename a canonical-schema population's abstract instances to
         their lexical reference values (the identities
-        :meth:`backward` reconstructs).  ``columnar=True`` builds the
-        result as a ``ColumnarPopulation`` for whole-population
-        consumers."""
-        return canonicalize_population(
-            self.plan, population, columnar=columnar
-        )
+        :meth:`backward` reconstructs).  ``columnar`` has no effect:
+        there is one population layout; the keyword stays for
+        existing callers."""
+        return canonicalize_population(self.plan, population)
 
     # ------------------------------------------------------------------
     # Output generation

@@ -11,19 +11,19 @@ empirically:
 * :meth:`RelationalStateMap.forward` — interpret the relation plans
   over a population of the canonical binary schema, producing a
   :class:`~repro.engine.database.Database`;
-* :meth:`RelationalStateMap.backward` — reconstruct the canonical
-  population from a database state, resolving own-identifier subtypes
-  through the sublink attributes of their super-relations.
+* :meth:`RelationalStateMap.backward_columnar` — reconstruct the
+  canonical population from a database state's relation columns,
+  resolving own-identifier subtypes through the sublink attributes of
+  their super-relations (:meth:`RelationalStateMap.backward` reads the
+  columns of an in-memory :class:`~repro.engine.database.Database`).
 
-The forward direction is a *batch* kernel: the population is viewed
-columnar (:class:`~repro.brm.population.ColumnarPopulation`), each
-lexical leg is resolved once per relation as a chain of
-id-to-first-co-filler dictionaries, and whole columns are zipped into
-rows — instead of per-instance ``facts_of`` probes, which made the
-old tuple-at-a-time interpreter the dominant cost of 1e5-row
-validation runs.  Row order and content are exactly those of the
-per-instance semantics (members sorted by ``repr``, first co-filler
-by ``repr``), so the bijection and its tests are unchanged.
+Both directions are *batch* kernels over the interned
+:class:`~repro.brm.population.Population` layout: each lexical leg is
+resolved once per relation as a chain of id-to-first-co-filler
+dictionaries, and whole columns are zipped into rows (or, backwards,
+interned into id columns).  Row order and content are exactly those
+of the per-instance semantics (members sorted by ``repr``, first
+co-filler by ``repr``).
 
 Instances of non-lexical object types are abstract; the bijection is
 exact on *canonical* populations, where each instance is named by its
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.brm.facts import RoleId
-from repro.brm.population import ColumnarPopulation, Population
+from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
 from repro.engine.database import Database
 from repro.errors import MappingError
@@ -54,8 +53,6 @@ from repro.relational.schema import RelationalSchema
 
 Instance = Hashable
 
-AnyPopulation = Population | ColumnarPopulation
-
 
 def _canon(values: tuple[Instance, ...]) -> Instance:
     """The canonical instance named by a tuple of lexical values."""
@@ -64,54 +61,49 @@ def _canon(values: tuple[Instance, ...]) -> Instance:
     return values
 
 
-def _follow(
-    population: AnyPopulation, instance: Instance, path: tuple
-) -> Instance | None:
-    """Follow a lexical leg's component chain from an instance."""
-    current = instance
-    for component in path:
-        fillers = population.facts_of(
-            component.fact, component.near_role, current
-        )
-        if not fillers:
-            return None
-        current = min(fillers, key=repr)
-    return current
-
-
-def _columnar(population: AnyPopulation) -> ColumnarPopulation:
-    """The population in columnar form (identity when already so)."""
-    if isinstance(population, ColumnarPopulation):
-        return population
-    return ColumnarPopulation.from_population(population)
-
-
-def _leg_maps(
-    columnar: ColumnarPopulation, path: tuple
-) -> list[dict[int, int]]:
+def _leg_maps(population: Population, path: tuple) -> list[dict[int, int]]:
     """One first-co-filler map per component of a lexical leg.
 
     Following the leg from an instance id is then a chain of dict
-    lookups (with ``None`` propagation) — the whole-column equivalent
-    of :func:`_follow`, built once per leg instead of probing
-    ``facts_of`` per instance.
+    lookups (with ``None`` propagation), built once per leg instead of
+    probing ``facts_of`` and sorting fillers per instance.
     """
-    schema = columnar.schema
+    schema = population.schema
     maps = []
     for component in path:
         fact = schema.fact_type(component.fact)
-        maps.append(
-            columnar.first_co(fact.name, fact.position_of(component.near_role))
-        )
+        position = fact.position_of(component.near_role)
+        maps.append(population.first_co(fact.name, position))
     return maps
 
 
+def _complete_rows(
+    instances: list[Instance], columns: list[list]
+) -> tuple[list[Instance], list[list]]:
+    """The rows whose every column is non-``None``: an incomplete
+    reference is left unreconstructed.  When every row is complete
+    (the common, mandatory-role case) the inputs come back as they
+    are, so the per-list interning cache keeps hitting."""
+    # ``None in col`` runs the scan at C speed.
+    if not any(None in col for col in columns):
+        return instances, columns
+    keep = [
+        i
+        for i in range(len(instances))
+        if all(col[i] is not None for col in columns)
+    ]
+    return (
+        [instances[i] for i in keep],
+        [[col[i] for i in keep] for col in columns],
+    )
+
+
 def _follow_ids(
-    columnar: ColumnarPopulation, ids: list[int | None], path: tuple
+    population: Population, ids: list[int | None], path: tuple
 ) -> list[int | None]:
     """Follow a lexical leg for a whole id column at once."""
     current = ids
-    for mapping in _leg_maps(columnar, path):
+    for mapping in _leg_maps(population, path):
         get = mapping.get
         current = [None if i is None else get(i) for i in current]
     return current
@@ -155,30 +147,29 @@ class RelationalStateMap:
     # Forward: population -> database (batch kernel)
     # ------------------------------------------------------------------
 
-    def forward(self, population: AnyPopulation) -> Database:
+    def forward(self, population: Population) -> Database:
         """The database state corresponding to a binary population."""
-        columnar = _columnar(population)
         database = Database(self.rschema)
         for relation_plan in self.plan.plans.values():
             if not self.rschema.has_relation(relation_plan.relation):
                 continue  # omitted by a relational-relational option
             database.load_rows(
                 relation_plan.relation,
-                self._batch_rows(columnar, relation_plan),
+                self._batch_rows(population, relation_plan),
             )
         return database
 
     def _batch_rows(
-        self, columnar: ColumnarPopulation, relation_plan: RelationPlan
+        self, population: Population, relation_plan: RelationPlan
     ) -> list[dict[str, object]]:
         """All rows of one relation, computed column-at-a-time."""
         membership = relation_plan.membership
         if isinstance(membership, FactPairs):
-            sides = columnar.columns(membership.fact)
+            sides = population.columns(membership.fact)
             width = len(sides[0])
             id_columns = [
                 _follow_ids(
-                    columnar,
+                    population,
                     list(sides[unit.source.side]),
                     unit.source.leaf.path,
                 )
@@ -188,30 +179,30 @@ class RelationalStateMap:
             ]
         else:
             if isinstance(membership, AllInstances):
-                ids: list[int] = columnar.ordered_ids(membership.owner)
+                ids: list[int] = population.ordered_ids(membership.owner)
             else:
                 fact = self.plan.schema.fact_type(membership.fact)
                 position = fact.position_of(membership.near_role)
-                ids = columnar.sort_ids(
+                ids = population.sort_ids(
                     {
                         pair[position]
-                        for pair in columnar.pair_ids(membership.fact)
+                        for pair in population.pair_ids(membership.fact)
                     }
                 )
             id_columns = [
-                self._unit_ids(columnar, unit.source, ids)
+                self._unit_ids(population, unit.source, ids)
                 for unit in relation_plan.columns
             ]
         if not id_columns:
             # A plan with no computed columns still emits one (empty)
-            # row per member, like the per-instance interpreter did.
+            # row per member.
             count = (
-                len(columnar.columns(membership.fact)[0])
+                len(population.columns(membership.fact)[0])
                 if isinstance(membership, FactPairs)
                 else len(ids)
             )
             return [{} for _ in range(count)]
-        value = columnar.value
+        value = population.value
         names = [unit.name for unit in relation_plan.columns]
         return [
             dict(zip(names, (value(i) for i in id_row)))
@@ -220,26 +211,26 @@ class RelationalStateMap:
 
     def _unit_ids(
         self,
-        columnar: ColumnarPopulation,
+        population: Population,
         source,
         ids: list[int],
     ) -> list[int | None]:
         """One column of instance-relation ids, whole-column at once."""
         if isinstance(source, SelfLeaf):
-            return _follow_ids(columnar, list(ids), source.leaf.path)
+            return _follow_ids(population, list(ids), source.leaf.path)
         if isinstance(source, (FactLeaf, DisjunctLeaf)):
             fact = self.plan.schema.fact_type(source.fact)
-            first = columnar.first_co(
+            first = population.first_co(
                 fact.name, fact.position_of(source.near_role)
             )
             get = first.get
             return _follow_ids(
-                columnar, [get(i) for i in ids], source.leaf.path
+                population, [get(i) for i in ids], source.leaf.path
             )
         assert isinstance(source, SublinkLeaf)
-        members = columnar.instance_ids(source.subtype)
+        members = population.instance_ids(source.subtype)
         return _follow_ids(
-            columnar,
+            population,
             [i if i in members else None for i in ids],
             source.leaf.path,
         )
@@ -250,264 +241,35 @@ class RelationalStateMap:
 
     def backward(self, database: Database) -> Population:
         """The canonical population corresponding to a database state."""
-        population = Population(self.plan.schema)
-        index: dict[tuple[str, tuple], Instance] = {}
-
-        anchors = [p for p in self.plan.plans.values() if p.kind == "anchor"]
-        others = [p for p in self.plan.plans.values() if p.kind != "anchor"]
-
-        # Pass 1a: anchor instances, reference chains, sublink columns
-        # (builds the own-identifier resolution index top-down).
-        rows_cache: dict[str, list[tuple[dict, Instance]]] = {}
-        for relation_plan in anchors:
-            if not self.rschema.has_relation(relation_plan.relation):
-                continue
-            prep = _BackwardPrep(relation_plan)
-            cached = []
-            for row in database.iter_rows(relation_plan.relation):
-                instance = self._materialize_instance(
-                    population, index, relation_plan, prep, row
-                )
-                cached.append((row, instance))
-            rows_cache[relation_plan.relation] = cached
-
-        # Pass 1b: functional fact columns of the anchors.
-        for relation_plan in anchors:
-            prep = _BackwardPrep(relation_plan)
-            for row, instance in rows_cache.get(relation_plan.relation, ()):
-                self._materialize_fact_columns(
-                    population, index, prep, row, instance
-                )
-
-        # Pass 2: satellites and fact relations.
-        for relation_plan in others:
-            if not self.rschema.has_relation(relation_plan.relation):
-                continue
-            prep = _BackwardPrep(relation_plan)
-            if isinstance(relation_plan.membership, RolePlayers):
-                for row in database.iter_rows(relation_plan.relation):
-                    self._materialize_satellite_row(
-                        population, index, relation_plan, prep, row
-                    )
-            elif isinstance(relation_plan.membership, FactPairs):
-                for row in database.iter_rows(relation_plan.relation):
-                    self._materialize_pair_row(
-                        population, index, relation_plan, prep, row
-                    )
-
-        # Pass 3: subtype membership carried only by an indicator fact
-        # (INDICATOR policy with an omitted factless sub-relation).
-        for repr_ in self.plan.sublink_reprs.values():
-            if repr_.sub_relation is not None or repr_.indicator_fact is None:
-                continue
-            for first, second in population.fact_instances(
-                repr_.indicator_fact
-            ):
-                if second == "Y":
-                    population.add_instance(repr_.subtype, first)
-        return population
-
-    # -- pass 1a -------------------------------------------------------
-
-    def _materialize_instance(
-        self,
-        population: Population,
-        index: dict,
-        relation_plan: RelationPlan,
-        prep: "_BackwardPrep",
-        row: dict,
-    ) -> Instance:
-        owner = relation_plan.owner
-        assert owner is not None
-        if owner in self.plan.disjunctive:
-            values = tuple(row.get(u.name) for u in prep.disjunct_units)
-            instance = values  # full tuple including absent groups
-            population.add_instance(owner, instance)
-            return instance
-        key_values = tuple(row.get(c) for c in relation_plan.key_columns)
-        instance = self._resolve(index, owner, key_values)
-        population.add_instance(owner, instance)
-        # Reconstruct the owner's reference-fact chain.
-        self_legs = [
-            (leaf, row.get(name)) for name, leaf in prep.self_legs
-        ]
-        self._reconstruct_chain(population, index, owner, instance, self_legs)
-        # Sublink columns: membership plus the subtype's own reference.
-        for sublink_name, subtype, units in prep.sublink_groups:
-            legs = [(u.source.leaf, row.get(u.name)) for u in units]
-            values = tuple(value for _, value in legs)
-            if any(value is None for value in values):
-                continue
-            population.add_instance(subtype, instance)
-            index[(subtype, values)] = instance
-            self._reconstruct_chain(
-                population,
-                index,
-                subtype,
-                instance,
-                [(leaf, value) for (leaf, value) in legs if leaf.path],
-            )
-        return instance
-
-    def _resolve(
-        self, index: dict, type_name: str, values: tuple
-    ) -> Instance:
-        """An instance for reference values, via the sublink index for
-        (types keyed like) own-identifier subtypes."""
-        delegate = self._delegate.get(type_name)
-        if delegate is not None:
-            resolved = index.get((delegate, values))
-            if resolved is not None:
-                return resolved
-            # No matching super row (the C_EQ$ rule is violated);
-            # materialize a standalone instance so the defect stays
-            # observable rather than crashing.
-        return _canon(values)
-
-    def _reconstruct_chain(
-        self,
-        population: Population,
-        index: dict,
-        owner_type: str,
-        owner_instance: Instance,
-        legs: list,
-    ) -> None:
-        """Rebuild the reference-fact instances along leaf paths."""
-        groups: dict[object, list] = {}
-        for leaf, value in legs:
-            if value is None:
-                return  # incomplete reference; leave unreconstructed
-            groups.setdefault(leaf.path[0], []).append((leaf, value))
-        schema = self.plan.schema
-        for component, group in groups.items():
-            values = tuple(value for _, value in group)
-            target = self._resolve(index, component.target, values)
-            fact = schema.fact_type(component.fact)
-            if fact.first.name == component.near_role:
-                population.add_fact(component.fact, owner_instance, target)
-            else:
-                population.add_fact(component.fact, target, owner_instance)
-            deeper = [
-                (LexicalLeaf(leaf.path[1:], leaf.lot, leaf.datatype), value)
-                for leaf, value in group
-                if len(leaf.path) > 1
-            ]
-            if deeper:
-                self._reconstruct_chain(
-                    population, index, component.target, target, deeper
-                )
-
-    # -- pass 1b -------------------------------------------------------
-
-    def _materialize_fact_columns(
-        self,
-        population: Population,
-        index: dict,
-        prep: "_BackwardPrep",
-        row: dict,
-        instance: Instance,
-    ) -> None:
-        schema = self.plan.schema
-        for fact_name, units in prep.fact_groups:
-            values = tuple(row.get(u.name) for u in units)
-            if any(value is None for value in values):
-                continue
-            source = units[0].source
-            fact = schema.fact_type(fact_name)
-            target_type = fact.player_of(source.far_role)
-            target = self._resolve(index, target_type, values)
-            if fact.first.name == source.near_role:
-                population.add_fact(fact_name, instance, target)
-            else:
-                population.add_fact(fact_name, target, instance)
-            deeper = [
-                (
-                    LexicalLeaf(
-                        u.source.leaf.path,
-                        u.source.leaf.lot,
-                        u.source.leaf.datatype,
-                    ),
-                    value,
-                )
-                for u, value in zip(units, values)
-                if u.source.leaf.path
-            ]
-            if deeper:
-                self._reconstruct_chain(
-                    population, index, target_type, target, deeper
-                )
-
-    # -- pass 2 --------------------------------------------------------
-
-    def _materialize_satellite_row(
-        self,
-        population: Population,
-        index: dict,
-        relation_plan: RelationPlan,
-        prep: "_BackwardPrep",
-        row: dict,
-    ) -> None:
-        owner = relation_plan.owner
-        assert owner is not None
-        key_values = tuple(row.get(c) for c in relation_plan.key_columns)
-        instance = self._resolve(index, owner, key_values)
-        population.add_instance(owner, instance)
-        self._materialize_fact_columns(
-            population, index, prep, row, instance
+        return self.backward_columnar(
+            {
+                relation.name: database.fetch_columns(relation.name)
+                for relation in self.rschema.relations
+            }
         )
-
-    def _materialize_pair_row(
-        self,
-        population: Population,
-        index: dict,
-        relation_plan: RelationPlan,
-        prep: "_BackwardPrep",
-        row: dict,
-    ) -> None:
-        membership = relation_plan.membership
-        assert isinstance(membership, FactPairs)
-        fillers = []
-        for units in prep.pair_sides:
-            values = tuple(row.get(u.name) for u in units)
-            source = units[0].source
-            filler = self._resolve(index, source.player, values)
-            fillers.append(filler)
-            deeper = [
-                (u.source.leaf, value)
-                for u, value in zip(units, values)
-                if u.source.leaf.path
-            ]
-            if deeper:
-                population.add_instance(source.player, filler)
-                self._reconstruct_chain(
-                    population, index, source.player, filler, deeper
-                )
-        population.add_fact(membership.fact, fillers[0], fillers[1])
-
-    # ------------------------------------------------------------------
-    # Backward: columnar kernel
-    # ------------------------------------------------------------------
 
     def backward_columnar(
         self,
         columns: dict[str, dict[str, list]],
         *,
-        intern_like: ColumnarPopulation | None = None,
-    ) -> ColumnarPopulation:
+        intern_like: Population | None = None,
+    ) -> Population:
         """The canonical population from bulk relation columns.
 
-        The columnar twin of :meth:`backward`, which remains the
-        tuple-at-a-time oracle.  ``columns`` maps each present
-        relation to parallel, row-aligned value columns (one list per
-        attribute — the shape :meth:`Backend.fetch_columns` and
-        :meth:`Database.fetch_columns` return).  The four passes, the
-        own-identifier resolution index and the defect semantics
-        mirror ``backward`` exactly on database states the forward
-        map can produce — property-tested byte-equal against the
-        oracle — but every relation is processed column-at-a-time:
-        instances are resolved per column, interned in bulk, and the
-        reference chains become per-leg batched fact adds instead of
-        per-row ``add_fact`` calls.
+        ``columns`` maps each present relation to parallel,
+        row-aligned value columns (one list per attribute — the shape
+        :meth:`Backend.fetch_columns` and :meth:`Database.fetch_columns`
+        return).  Four passes rebuild the state: anchor instances with
+        their reference chains and sublink columns (which builds the
+        own-identifier resolution index top-down), the anchors'
+        functional fact columns, satellites and fact relations, and
+        subtype membership carried only by an indicator fact.  Every
+        relation is processed column-at-a-time: instances are
+        resolved per column, interned in bulk, and the reference
+        chains become per-leg batched fact adds.  The row-at-a-time
+        reconstruction it replaced is kept as a test oracle
+        (``tests/oracles/mapper.py``), property-tested equal on every
+        database state the forward map can produce.
 
         ``intern_like`` pre-seeds the result's intern table from an
         existing population (typically the canonical original the
@@ -516,7 +278,7 @@ class RelationalStateMap:
         translation.  Purely an id-space alignment — the value-level
         content is unaffected.
         """
-        population = ColumnarPopulation(self.plan.schema)
+        population = Population(self.plan.schema)
         if intern_like is not None:
             population.seed_intern_from(intern_like)
         index: dict[tuple[str, tuple], Instance] = {}
@@ -592,7 +354,7 @@ class RelationalStateMap:
 
     def _column_instances(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         index: dict,
         cache: dict[int, tuple[list, list[int]]],
         relation_plan: RelationPlan,
@@ -628,16 +390,11 @@ class RelationalStateMap:
                 [(leaf, cols[name]) for name, leaf in prep.self_legs],
             )
         for sublink_name, subtype, units in prep.sublink_groups:
-            leg_cols = [cols[u.name] for u in units]
-            keep = [
-                i
-                for i in range(len(instances))
-                if all(col[i] is not None for col in leg_cols)
-            ]
-            if not keep:
+            kept_instances, kept_cols = _complete_rows(
+                instances, [cols[u.name] for u in units]
+            )
+            if not kept_instances:
                 continue
-            kept_cols = [[col[i] for i in keep] for col in leg_cols]
-            kept_instances = [instances[i] for i in keep]
             population.add_instance_ids(
                 subtype, set(self._interned(population, cache, kept_instances))
             )
@@ -656,7 +413,7 @@ class RelationalStateMap:
 
     def _interned(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         cache: dict[int, tuple[list, list[int]]],
         column: list[Instance],
     ) -> list[int]:
@@ -676,7 +433,13 @@ class RelationalStateMap:
     def _resolve_column(
         self, index: dict, type_name: str, value_columns: list[list]
     ) -> list[Instance]:
-        """:meth:`_resolve` for whole key columns at once."""
+        """The instances named by whole key columns.
+
+        A type keyed like an own-identifier subtype resolves through
+        that subtype's sublink index; a row with no matching super row
+        (its ``C_EQ$`` rule violated) becomes a standalone instance, so
+        the defect stays observable instead of crashing.
+        """
         delegate = self._delegate.get(type_name)
         if len(value_columns) == 1:
             singles = value_columns[0]
@@ -698,34 +461,26 @@ class RelationalStateMap:
 
     def _column_chain(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         index: dict,
         cache: dict[int, tuple[list, list[int]]],
         owner_type: str,
         owner_column: list[Instance],
         legs: list,
     ) -> None:
-        """:meth:`_reconstruct_chain` for whole columns at once.
+        """Rebuild the reference-fact instances along the legs' leaf
+        paths, whole columns at once.
 
-        Mirrors the per-row early return: a row with ``None`` in *any*
-        leg at this level is dropped from every group of the level
-        (incomplete reference, left unreconstructed).
+        A row with ``None`` in *any* leg at this level is dropped from
+        every group of the level.
         """
-        leg_cols = [col for _, col in legs]
-        # ``None in col`` runs the scan at C speed; columns are clean
-        # in the common (mandatory-role) case.
-        if any(None in col for col in leg_cols):
-            keep = [
-                i
-                for i in range(len(owner_column))
-                if all(col[i] is not None for col in leg_cols)
-            ]
-            owner_column = [owner_column[i] for i in keep]
-            legs = [(leaf, [col[i] for i in keep]) for leaf, col in legs]
+        owner_column, leg_cols = _complete_rows(
+            owner_column, [col for _, col in legs]
+        )
         if not owner_column:
             return
         groups: dict[object, list] = {}
-        for leaf, col in legs:
+        for (leaf, _), col in zip(legs, leg_cols):
             groups.setdefault(leaf.path[0], []).append((leaf, col))
         schema = self.plan.schema
         for component, group in groups.items():
@@ -756,7 +511,7 @@ class RelationalStateMap:
 
     def _column_fact_groups(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         index: dict,
         cache: dict[int, tuple[list, list[int]]],
         prep: "_BackwardPrep",
@@ -766,19 +521,9 @@ class RelationalStateMap:
         """Passes 1b/2: functional fact columns, whole columns at once."""
         schema = self.plan.schema
         for fact_name, units in prep.fact_groups:
-            unit_cols = [cols[u.name] for u in units]
-            if any(None in col for col in unit_cols):
-                keep = [
-                    i
-                    for i in range(len(instances))
-                    if all(col[i] is not None for col in unit_cols)
-                ]
-                if not keep:
-                    continue
-                unit_cols = [[col[i] for i in keep] for col in unit_cols]
-                kept_instances = [instances[i] for i in keep]
-            else:
-                kept_instances = instances
+            kept_instances, unit_cols = _complete_rows(
+                instances, [cols[u.name] for u in units]
+            )
             if not kept_instances:
                 continue
             source = units[0].source
@@ -803,7 +548,7 @@ class RelationalStateMap:
 
     def _column_satellites(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         index: dict,
         cache: dict[int, tuple[list, list[int]]],
         relation_plan: RelationPlan,
@@ -824,7 +569,7 @@ class RelationalStateMap:
 
     def _column_pairs(
         self,
-        population: ColumnarPopulation,
+        population: Population,
         index: dict,
         cache: dict[int, tuple[list, list[int]]],
         relation_plan: RelationPlan,
@@ -840,9 +585,9 @@ class RelationalStateMap:
             source = units[0].source
             fillers = self._resolve_column(index, source.player, unit_cols)
             filler_columns.append(fillers)
-            # Structural condition, exactly like the per-row pass: any
-            # unit with a leaf path means every row's filler is
-            # instance-added before its chain is reconstructed.
+            # Structural condition: any unit with a leaf path means
+            # every row's filler is instance-added before its chain is
+            # reconstructed.
             deeper = [
                 (u.source.leaf, col)
                 for u, col in zip(units, unit_cols)
@@ -864,13 +609,9 @@ class RelationalStateMap:
 
 
 class _BackwardPrep:
-    """Per-plan column groupings, hoisted out of the per-row loops.
-
-    The old backwards interpreter re-scanned ``relation_plan.columns``
-    with ``isinstance`` filters and rebuilt grouping dicts for *every
-    row*; at 1e5+ rows that plan-shape work dwarfs the actual
-    reconstruction.  One prep object per plan computes it once.
-    """
+    """Per-plan column groupings of the backward map, computed once
+    per relation plan instead of re-scanning ``relation_plan.columns``
+    with ``isinstance`` filters for every group."""
 
     __slots__ = (
         "disjunct_units",
@@ -918,8 +659,8 @@ class _BackwardPrep:
 
 
 def canonicalize_population(
-    plan: MappingPlan, population: AnyPopulation, *, columnar: bool = False
-) -> AnyPopulation:
+    plan: MappingPlan, population: Population
+) -> Population:
     """Rename abstract instances to their lexical reference values.
 
     Each non-lexical instance is renamed to the (tuple of) values of
@@ -932,15 +673,9 @@ def canonicalize_population(
     (:func:`_leg_maps`), so renaming an instance is a handful of dict
     lookups instead of per-instance ``facts_of`` probes and filler
     sorts.
-
-    With ``columnar=True`` the canonical state is built as a
-    :class:`ColumnarPopulation` (same content): downstream whole-
-    population consumers — the batch forward map, ``state_diff``
-    round-trip comparison — then skip the row/columnar conversion.
     """
     schema = plan.schema
-    source = _columnar(population)
-    value = source.value
+    value = population.value
 
     # root -> ("disjunct", [first_co map per scheme fact]) or
     #         ("legs", [leg map chain per reference leaf])
@@ -959,14 +694,14 @@ def canonicalize_population(
                     fact.first if fact.first.player == root else fact.second
                 )
                 maps.append(
-                    source.first_co(fact_name, fact.position_of(near.name))
+                    population.first_co(fact_name, fact.position_of(near.name))
                 )
             resolver = ("disjunct", maps)
         else:
             resolver = (
                 "legs",
                 [
-                    _leg_maps(source, leaf.path)
+                    _leg_maps(population, leaf.path)
                     for leaf in plan.resolver.leaves(root)
                 ],
             )
@@ -1013,14 +748,12 @@ def canonicalize_population(
         renames[key] = renamed
         return renamed
 
-    canonical: AnyPopulation = (
-        ColumnarPopulation(schema) if columnar else Population(schema)
-    )
+    canonical = Population(schema)
     for object_type in schema.object_types:
         name = object_type.name
         canonical.add_instances(
             name,
-            (rename(name, i) for i in source.instance_ids(name)),
+            (rename(name, i) for i in population.instance_ids(name)),
         )
     for fact in schema.fact_types:
         first_type = fact.first.player
@@ -1029,7 +762,7 @@ def canonicalize_population(
             fact.name,
             [
                 (rename(first_type, first), rename(second_type, second))
-                for first, second in source.pair_ids(fact.name)
+                for first, second in population.pair_ids(fact.name)
             ],
         )
     return canonical

@@ -88,26 +88,10 @@ def restrict_scope(state: MappingState) -> None:
     )
 
     def forward(population: Population) -> Population:
-        projected = Population(new_schema)
-        for object_type in new_schema.object_types:
-            projected.add_instances(
-                object_type.name, population.instances(object_type.name)
-            )
-        for fact in new_schema.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                projected.add_fact(fact.name, first, second)
-        return projected
+        return population.project(new_schema)
 
     def backward(population: Population) -> Population:
-        restored = Population(old_schema)
-        for object_type in new_schema.object_types:
-            restored.add_instances(
-                object_type.name, population.instances(object_type.name)
-            )
-        for fact in new_schema.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                restored.add_fact(fact.name, first, second)
-        return restored
+        return population.project(old_schema)
 
     state.add_population_maps(forward, backward)
 
@@ -357,27 +341,15 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
     )
 
     def forward(population: Population) -> Population:
-        mapped = Population(schema_after)
-        members = population.instances(subtype)
-        for object_type in schema_after.object_types:
-            if old_schema.has_object_type(object_type.name):
-                mapped.add_instances(
-                    object_type.name, population.instances(object_type.name)
-                )
-        for fact in old_schema.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                mapped.add_fact(fact.name, first, second)
-        if indicator_fact is not None:
-            for instance in population.instances(supertype):
-                mapped.add_fact(
-                    indicator_fact,
-                    instance,
-                    "Y" if instance in members else "N",
-                )
-        return mapped
+        if indicator_fact is None:
+            return population.project(schema_after)
+        return _indicated(
+            population, schema_after, indicator_fact, subtype, supertype
+        )
 
     def backward(population: Population) -> Population:
-        restored = Population(old_schema)
+        # ``schema_after`` has no subtype: its members come back from
+        # the anchor role or the "Y" side of the indicator fact.
         if anchor is not None:
             members = population.role_population(anchor)
         else:
@@ -386,17 +358,8 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
                 for first, second in population.fact_instances(indicator_fact)
                 if second == "Y"
             )
-        for object_type in old_schema.object_types:
-            if object_type.name == subtype:
-                continue
-            if schema_after.has_object_type(object_type.name):
-                restored.add_instances(
-                    object_type.name, population.instances(object_type.name)
-                )
+        restored = population.project(old_schema)
         restored.add_instances(subtype, members)
-        for fact in old_schema.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                restored.add_fact(fact.name, first, second)
         return restored
 
     state.add_population_maps(forward, backward)
@@ -561,34 +524,36 @@ def add_indicator_fact(
     )
 
     def forward(population: Population) -> Population:
-        mapped = Population(schema_after)
-        members = population.instances(subtype)
-        for object_type in schema_before.object_types:
-            mapped.add_instances(
-                object_type.name, population.instances(object_type.name)
-            )
-        for fact in schema_before.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                mapped.add_fact(fact.name, first, second)
-        for instance in population.instances(supertype):
-            mapped.add_fact(
-                fact_name, instance, "Y" if instance in members else "N"
-            )
-        return mapped
+        return _indicated(population, schema_after, fact_name, subtype, supertype)
 
     def backward(population: Population) -> Population:
-        restored = Population(schema_before)
-        for object_type in schema_before.object_types:
-            restored.add_instances(
-                object_type.name, population.instances(object_type.name)
-            )
-        for fact in schema_before.fact_types:
-            for first, second in population.fact_instances(fact.name):
-                restored.add_fact(fact.name, first, second)
-        return restored
+        return population.project(schema_before)
 
     state.add_population_maps(forward, backward)
     return fact_name
+
+
+def _indicated(
+    population: Population,
+    schema: BinarySchema,
+    fact_name: str,
+    subtype: str,
+    supertype: str,
+) -> Population:
+    """The projection of ``population`` onto ``schema`` with every
+    supertype instance paired, in the indicator fact, with ``"Y"``
+    when it is a subtype member and ``"N"`` otherwise."""
+    mapped = population.project(schema)
+    members = population.instance_ids(subtype)
+    yes, no = mapped.intern("Y"), mapped.intern("N")
+    mapped.add_pair_ids(
+        fact_name,
+        [
+            (i, yes if i in members else no)
+            for i in population.instance_ids(supertype)
+        ],
+    )
+    return mapped
 
 
 def _synthesize_indicator(

@@ -132,7 +132,7 @@ class CheckpointManager:
             value = fn()
         except CheckpointError:
             raise
-        except Exception as exc:
+        except Exception as exc:  # restore the entry state on any failure
             state.restore(entry)
             raise CheckpointError(phase, str(exc)) from exc
         _obs_count("checkpoint.writes")

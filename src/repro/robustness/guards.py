@@ -179,7 +179,7 @@ def _roundtrip_spot_check(state: MappingState) -> list[str]:
                 "population round-trip spot-check failed: empty "
                 "population not reconstructed by the backward maps"
             ]
-    except Exception as exc:
+    except Exception as exc:  # a broken map may raise anything; report it
         return [f"population round-trip spot-check raised: {exc!r}"]
     return []
 
@@ -261,7 +261,7 @@ class GuardedExecutor:
         try:
             faults.reach(f"rule:{rule.name}", state=state, executor=self)
             rule.fire(state)
-        except Exception as exc:
+        except Exception as exc:  # any failing rule is rolled back, not fatal
             state.restore(snapshot)
             return self._fail(
                 rule.name, f"action raised {exc!r}", cause=exc

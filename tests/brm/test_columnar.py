@@ -1,13 +1,13 @@
-"""Columnar population vs. the row-oriented oracle.
+"""The interned population vs. the row-oriented oracle.
 
-``ColumnarPopulation`` is the interned, per-fact-type columnar layout
-the batch state-map kernels run on; ``Population`` is the retained
-value-oriented reference.  Mirroring the ``LinearScanOracle`` pattern
-from ``test_indexes.py``, every observable query — validity (exact
-violation messages), ``facts_of``, role/item populations, equality —
-is replayed through both representations after hypothesis-driven
-construction and randomized mutation sequences, and the lossless
-conversions ``from_population``/``to_population`` must round-trip.
+``Population`` is the interned, per-fact-type columnar layout the
+batch state-map kernels run on; ``tests.oracles.brm.RowPopulation``
+is the value-oriented reference.  Mirroring the ``LinearScanOracle``
+pattern from ``test_indexes.py``, every observable query — validity
+(exact violation messages), ``facts_of``, role/item populations,
+equality — is replayed through both representations after
+hypothesis-driven construction and randomized mutation sequences, and
+the lossless conversions ``to_row``/``from_row`` must round-trip.
 """
 
 import random
@@ -15,11 +15,13 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.brm import ColumnarPopulation, Population, RoleId
+from repro.brm import Population, RoleId
 from repro.cris import figure6_population, figure6_schema
 from repro.mapper import MappingOptions, NullPolicy, SublinkPolicy, map_schema
 from repro.workloads import generate_population, generate_schema
 
+from tests.oracles.brm import RowPopulation, from_row, to_row
+from tests.oracles.mapper import row_backward
 from tests.strategies import (
     DEFAULT_SHAPE,
     FULL_SHAPE,
@@ -29,7 +31,7 @@ from tests.strategies import (
 
 
 def assert_columnar_equals_oracle(
-    population: Population, columnar: ColumnarPopulation
+    population: RowPopulation, columnar: Population
 ) -> None:
     """Every observable query agrees between both representations."""
     schema = population.schema
@@ -59,20 +61,19 @@ def assert_columnar_equals_oracle(
                 ) == population.facts_of(fact.name, role.name, instance)
     assert columnar.is_empty() == population.is_empty()
     assert columnar.as_dict() == population.as_dict()
-    assert columnar == population
     # Lossless conversion both ways.
-    assert columnar.to_population() == population
-    assert ColumnarPopulation.from_population(population) == columnar
+    assert to_row(columnar) == population
+    assert from_row(population) == columnar
 
 
-def _sync_pair(schema, seed: int) -> tuple[Population, ColumnarPopulation]:
-    population = generate_population(schema, instances_per_type=4, seed=seed)
-    return population, ColumnarPopulation.from_population(population)
+def _sync_pair(schema, seed: int) -> tuple[RowPopulation, Population]:
+    columnar = generate_population(schema, instances_per_type=4, seed=seed)
+    return to_row(columnar), columnar
 
 
 def _random_mutation(
-    population: Population,
-    columnar: ColumnarPopulation,
+    population: RowPopulation,
+    columnar: Population,
     rng: random.Random,
     step: int,
 ) -> None:
@@ -121,10 +122,8 @@ def _random_mutation(
 class TestOracleEquivalence:
     def test_figure6_population(self):
         schema = figure6_schema()
-        population = figure6_population(schema)
-        assert_columnar_equals_oracle(
-            population, ColumnarPopulation.from_population(population)
-        )
+        columnar = figure6_population(schema)
+        assert_columnar_equals_oracle(to_row(columnar), columnar)
 
     @settings(
         max_examples=12,
@@ -159,17 +158,15 @@ class TestOracleEquivalence:
     def test_round_trip_is_lossless(self, seed):
         schema = generate_schema(PLAIN_SHAPE, seed=seed)
         population, columnar = _sync_pair(schema, seed)
-        rebuilt = columnar.to_population()
-        assert rebuilt == population
+        rebuilt = from_row(population)
+        assert rebuilt == columnar
         assert rebuilt.as_dict() == population.as_dict()
         # And back again.
-        assert ColumnarPopulation.from_population(rebuilt) == columnar
+        assert to_row(rebuilt) == population
 
     def test_copy_is_independent(self):
         schema = figure6_schema()
-        columnar = ColumnarPopulation.from_population(
-            figure6_population(schema)
-        )
+        columnar = figure6_population(schema)
         twin = columnar.copy()
         assert twin == columnar
         twin.add_instance("Paper", "ghost_paper")
@@ -177,7 +174,8 @@ class TestOracleEquivalence:
 
 
 class TestStateMapEquivalence:
-    """The batch kernels accept either representation and agree."""
+    """The batch kernels do not depend on the intern order, and the
+    reconstruction agrees with the row-at-a-time oracle."""
 
     POLICIES = st.tuples(
         st.sampled_from(
@@ -214,21 +212,25 @@ class TestStateMapEquivalence:
             ),
         )
         canonical = result.canonicalize(result.state.to_canonical(population))
-        columnar = ColumnarPopulation.from_population(canonical)
-        from_rows = result.state_map.forward(canonical)
-        from_columns = result.state_map.forward(columnar)
-        assert from_rows == from_columns
-        # State equivalence holds for the reconstruction against both.
-        reconstructed = result.state_map.backward(from_columns)
+        # The same state re-interned in another value order.
+        reinterned = from_row(to_row(canonical))
+        database = result.state_map.forward(canonical)
+        assert result.state_map.forward(reinterned) == database
+        # State equivalence holds for the reconstruction against both
+        # the canonical original and the row oracle's reconstruction.
+        reconstructed = result.state_map.backward(database)
         assert reconstructed == canonical
-        assert columnar == reconstructed
+        assert (
+            reconstructed.as_dict()
+            == row_backward(result.state_map, database).as_dict()
+        )
 
 
 class TestIdLevelPrimitives:
     """The bulk id-level construction API the backward map runs on."""
 
     def _columnar(self):
-        return ColumnarPopulation(figure6_schema())
+        return Population(figure6_schema())
 
     def test_intern_all_is_per_value_intern(self):
         columnar = self._columnar()
@@ -247,8 +249,8 @@ class TestIdLevelPrimitives:
 
     def test_add_pair_ids_matches_add_facts(self):
         schema = figure6_schema()
-        by_values = ColumnarPopulation(schema)
-        by_ids = ColumnarPopulation(schema)
+        by_values = Population(schema)
+        by_ids = Population(schema)
         pairs = [("p_1", "alice"), ("p_2", "bob"), ("p_3", "alice")]
         by_values.add_facts("presents", pairs)
         by_ids.add_pair_ids(
@@ -263,8 +265,8 @@ class TestIdLevelPrimitives:
 
     def test_add_fact_id_columns_matches_add_facts(self):
         schema = figure6_schema()
-        by_values = ColumnarPopulation(schema)
-        by_columns = ColumnarPopulation(schema)
+        by_values = Population(schema)
+        by_columns = Population(schema)
         pairs = [("p_1", "alice"), ("p_2", "bob")]
         by_values.add_facts("presents", pairs)
         by_columns.add_fact_id_columns(
@@ -284,10 +286,10 @@ class TestStateDiff:
 
     def test_empty_iff_equal(self):
         schema = figure6_schema()
-        population = figure6_population(schema)
-        columnar = ColumnarPopulation.from_population(population)
+        columnar = figure6_population(schema)
+        population = to_row(columnar)
         # Different intern orders, same state.
-        twin = ColumnarPopulation(schema)
+        twin = Population(schema)
         for fact in reversed(schema.fact_types):
             twin.add_facts(
                 fact.name, sorted(population.fact_instances(fact.name))
@@ -298,12 +300,12 @@ class TestStateDiff:
             )
         assert twin.state_diff(columnar) == {}
         assert columnar.state_diff(twin) == {}
-        assert twin.state_diff(population) == {}
+        assert twin.state_diff(from_row(population)) == {}
 
     def test_counts_symmetric_differences(self):
         schema = figure6_schema()
-        left = ColumnarPopulation(schema)
-        right = ColumnarPopulation(schema)
+        left = Population(schema)
+        right = Population(schema)
         left.add_instances("Person", ["alice", "bob"])
         right.add_instances("Person", ["alice", "carol"])
         right.add_fact("presents", "p_9", "carol")
@@ -316,8 +318,8 @@ class TestStateDiff:
         # The negative-sentinel path: a value the other side has never
         # seen must count as a difference even when id numbers collide.
         schema = figure6_schema()
-        left = ColumnarPopulation(schema)
-        right = ColumnarPopulation(schema)
+        left = Population(schema)
+        right = Population(schema)
         left.add_instance("Person", "only_left")
         right.add_instance("Person", "only_right")
         assert left.state_diff(right) == {"Person": 2}

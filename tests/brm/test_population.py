@@ -183,7 +183,8 @@ class TestSetAlgebraicChecking:
         b.subtype("B", "A")
         schema = b.build()
         pop = Population(schema)
-        pop._objects["B"].add("x")  # bypass propagation deliberately
+        # Bypass propagation deliberately.
+        pop._objects["B"].add(pop.intern("x"))
         assert any(v.rule == "conformance" for v in pop.check())
 
 
@@ -238,3 +239,88 @@ class TestWholePopulation:
         assert pop1 == pop2
         pop2.add_instance("Paper", "p9")
         assert pop1 != pop2
+
+
+def _eliminated_schema():
+    """The ``schema`` fixture after Program_Paper is folded into Paper:
+    the subtype is gone and its fact is re-played by the supertype."""
+    b = SchemaBuilder("conf")
+    b.nolot("Paper")
+    b.lot("Paper_Id", char(6)).lot_nolot("Session", numeric(3))
+    b.identifier("Paper", "Paper_Id", fact="has_id")
+    b.fact(
+        "scheduled",
+        ("Paper", "presented_during"),
+        ("Session", "comprising"),
+        unique="first",
+    )
+    b.lot("Flag", char(1))
+    return b.build()
+
+
+def _by_value(population, schema):
+    """The projection, value by value through the public mutators."""
+    target = Population(schema)
+    for object_type in schema.object_types:
+        if population.schema.has_object_type(object_type.name):
+            target.add_instances(
+                object_type.name, population.instances(object_type.name)
+            )
+    for fact in schema.fact_types:
+        if population.schema.has_fact_type(fact.name):
+            target.add_facts(fact.name, population.fact_instances(fact.name))
+    return target
+
+
+class TestProject:
+    def test_shared_names_keep_their_state_and_ids(self, schema):
+        pop = Population(schema)
+        pop.add_fact("has_id", "p1", "ID1")
+        pop.add_fact("scheduled", "p2", 12)
+        projected = pop.project(_eliminated_schema())
+        assert projected.instances("Paper") == {"p1", "p2"}
+        assert projected.fact_instances("has_id") == {("p1", "ID1")}
+        assert projected.fact_instances("scheduled") == {("p2", 12)}
+        for value in ("p1", "p2", "ID1", 12):
+            assert projected.id_of(value) == pop.id_of(value)
+
+    def test_names_only_one_schema_declares(self, schema):
+        pop = Population(schema)
+        pop.add_instance("Program_Paper", "p5")
+        projected = pop.project(_eliminated_schema())
+        # Source-only names are dropped, target-only ones start empty.
+        assert "Program_Paper" not in projected.as_dict()["objects"]
+        assert projected.instances("Paper") == {"p5"}
+        assert projected.instances("Flag") == frozenset()
+        back = projected.project(schema)
+        assert back.instances("Program_Paper") == frozenset()
+        assert back.instances("Paper") == {"p5"}
+
+    def test_fillers_and_supertypes_propagate_under_the_target(self, schema):
+        eliminated = Population(_eliminated_schema())
+        eliminated.add_fact("scheduled", "p2", 12)
+        eliminated.add_instance("Paper", "p3")
+        restored = eliminated.project(schema)
+        # ``scheduled`` is played by Program_Paper in the target: the
+        # filler lands there and propagates to its supertype Paper.
+        assert restored.instances("Program_Paper") == {"p2"}
+        assert restored.instances("Paper") == {"p2", "p3"}
+        assert restored == _by_value(eliminated, schema)
+        pop = Population(schema)
+        pop.add_fact("scheduled", "p1", 7)
+        pop.add_fact("has_id", "p4", "ID4")
+        assert pop.project(_eliminated_schema()) == _by_value(
+            pop, _eliminated_schema()
+        )
+
+    def test_mutating_a_projection_leaves_the_source(self, schema):
+        pop = Population(schema)
+        pop.add_fact("scheduled", "p1", 7)
+        before = pop.as_dict()
+        projected = pop.project(schema)
+        assert projected == pop
+        projected.add_fact("scheduled", "p9", 8)
+        projected.remove_fact("scheduled", "p1", 7)
+        projected.discard_instance("Paper", "p1")
+        assert pop.as_dict() == before
+        assert pop.id_of("p9") is None

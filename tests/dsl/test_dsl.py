@@ -156,6 +156,31 @@ class TestParser:
             parse("nolot A B\n")
 
 
+class TestModelErrorsCarryLines:
+    """Errors the schema model raises while a statement is applied
+    surface as :class:`DslSyntaxError` at the statement keyword."""
+
+    HEADER = "schema S\nnolot Paper\nlot Title : char(20)\n"
+
+    @pytest.mark.parametrize(
+        "statement, line, message",
+        [
+            ("identifier Paper by Title\nsubtype Paper of Paper\n", 5,
+             "cannot be its own subtype"),
+            ("attribute Paper has Title\nattribute Book has Title\n", 5,
+             "no object type named 'Book'"),
+            ("nolot Paper\n", 4, "'Paper' already exists"),
+        ],
+        ids=["self-subtype", "undeclared-player", "duplicate-name"],
+    )
+    def test_reported_at_the_statement(self, statement, line, message):
+        with pytest.raises(DslSyntaxError) as excinfo:
+            parse(self.HEADER + statement)
+        assert (excinfo.value.line, excinfo.value.column) == (line, 1)
+        assert message in str(excinfo.value)
+        assert excinfo.value.__cause__ is not None
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "make", [figure6_schema, cris_schema], ids=["figure6", "cris"]

@@ -2,22 +2,23 @@
 
 ``RelationalStateMap.backward_columnar`` rebuilds a canonical
 population directly from bulk relation columns;
-``RelationalStateMap.backward`` stays the tuple-at-a-time reference.
-Both must reconstruct byte-identical states for every database the
-forward map can produce — across randomized schema shapes (subtypes
-with own identifiers, satellites, rich constraints) and every sublink
-policy, INDICATOR included, where subtype membership survives only as
-an indicator fact.
+``tests.oracles.mapper.row_backward`` is the tuple-at-a-time
+reference.  Both must reconstruct identical states for every database
+the forward map can produce — across randomized schema shapes
+(subtypes with own identifiers, satellites, rich constraints) and
+every sublink policy, INDICATOR included, where subtype membership
+survives only as an indicator fact.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.brm.population import ColumnarPopulation
+from repro.brm.population import Population
 from repro.cris import cris_schema, figure6_schema
 from repro.mapper import MappingOptions, map_schema
 from repro.workloads import generate_population, generate_schema
 
+from tests.oracles.mapper import row_backward
 from tests.strategies import DEFAULT_SHAPE, OPTION_SETS, RICH_SHAPE
 
 
@@ -33,22 +34,20 @@ def columns_of(database):
 
 def assert_backward_maps_agree(result, population):
     """Both backward directions reconstruct the same canonical state."""
-    canonical = result.canonicalize(
-        result.state.to_canonical(population), columnar=True
-    )
+    canonical = result.canonicalize(result.state.to_canonical(population))
     database = result.state_map.forward(canonical)
-    oracle = result.state_map.backward(database)
+    oracle = row_backward(result.state_map, database).as_dict()
     reconstructed = result.state_map.backward_columnar(columns_of(database))
-    assert reconstructed.state_diff(oracle) == {}
-    assert reconstructed == oracle
+    assert reconstructed.as_dict() == oracle
     assert reconstructed.state_diff(canonical) == {}
+    assert result.state_map.backward(database).as_dict() == oracle
     # Seeding the intern table (the harness fast path) must not change
     # the value-level content.
     seeded = result.state_map.backward_columnar(
         columns_of(database), intern_like=canonical
     )
     assert seeded.state_diff(canonical) == {}
-    assert seeded == oracle
+    assert seeded.as_dict() == oracle
 
 
 class TestOracleEquivalence:
@@ -110,19 +109,19 @@ class TestSeededInterning:
         from repro.errors import PopulationError
 
         schema = figure6_schema()
-        canonical = ColumnarPopulation(schema)
+        canonical = Population(schema)
         canonical.add_instance("Person", "p")
-        other = ColumnarPopulation(schema)
+        other = Population(schema)
         other.add_instance("Person", "q")
         with pytest.raises(PopulationError):
             other.seed_intern_from(canonical)
 
     def test_seeded_ids_align(self):
         schema = figure6_schema()
-        original = ColumnarPopulation(schema)
+        original = Population(schema)
         original.add_instance("Person", "alice")
         original.add_instance("Person", "bob")
-        seeded = ColumnarPopulation(schema)
+        seeded = Population(schema)
         seeded.seed_intern_from(original)
         seeded.add_instance("Person", "bob")
         assert seeded.id_of("bob") == original.id_of("bob")

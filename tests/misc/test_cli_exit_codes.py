@@ -56,6 +56,18 @@ class TestExitCodes:
             assert code == EXIT_USAGE, argv
             assert "error:" in output
 
+    def test_model_error_exits_2_with_one_line(self, tmp_path):
+        path = tmp_path / "self_subtype.ridl"
+        path.write_text(
+            "schema S\nnolot Paper\nlot Title : char(20)\n"
+            "identifier Paper by Title\nsubtype Paper of Paper\n"
+        )
+        code, output = run(["map", str(path)])
+        assert code == EXIT_USAGE
+        lines = output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line 5, column 1: ")
+
     def test_missing_file_exits_2(self):
         code, _ = run(["map", "no_such_file.ridl"])
         assert code == EXIT_USAGE

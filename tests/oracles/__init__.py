@@ -1,8 +1,10 @@
-"""Reference oracles: the pre-index linear-scan query implementations.
+"""Reference oracles: the implementations production code replaced.
 
-Each oracle answers the same questions as an indexed production query
-by scanning the schema's elements, exactly as the production code did
-before its index layer.  The property suites compare the two after
-randomized mutation sequences; no production path imports this
-package.
+Each oracle answers the same questions as a production path, the way
+that path answered them before it was indexed or made columnar: the
+linear-scan schema and relational-schema queries (``brm``,
+``relational``), the row-at-a-time population (``brm.RowPopulation``)
+and the row-at-a-time backward state map (``mapper.row_backward``).
+The property suites compare each pair after randomized construction
+and mutation sequences; no production path imports this package.
 """

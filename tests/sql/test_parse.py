@@ -187,3 +187,17 @@ class TestErrors:
         assert [r.name for r in parsed.schema.relations] == [
             r.name for r in reference.schema.relations
         ]
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    def test_every_line_prefix_parses_or_reports_a_line(self, dialect):
+        # Truncated scripts (a copy cut short, an editor buffer) must
+        # end in a DdlParseError pointing into the text, never in an
+        # IndexError or a line-less schema error.
+        lines = emitted(cris_schema(), dialect=dialect).splitlines(
+            keepends=True
+        )
+        for count in range(len(lines) + 1):
+            try:
+                parse_ddl("".join(lines[:count]), dialect)
+            except DdlParseError as exc:
+                assert exc.line is not None, (count, str(exc))
