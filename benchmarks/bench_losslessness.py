@@ -10,8 +10,9 @@ Definition 2), measured through a real engine instead of symbolic
 state.
 
 The emitted ``BENCH_losslessness.json`` records load/check/round-trip
-wall times and rows/s; ``scripts/check_bench_regression.py`` gates CI
-on the calibrated ``load_wall_s`` and ``check_wall_s``.
+and injection-phase (plan plus matrix) wall times and rows/s;
+``scripts/check_bench_regression.py`` gates CI on the calibrated
+wall-time keys.
 """
 
 import os
@@ -85,7 +86,8 @@ def test_losslessness_at_scale(report):
             f"round trip: {validation.round_trip_s:.3f}s "
             f"({round_trip_rate:,.0f} rows/s), empty diff",
             f"matrix: {len(validation.matrix.rows)} injections, "
-            "diagonal",
+            f"diagonal; planned in {validation.plan_s:.3f}s, "
+            f"replayed in {validation.matrix_s:.3f}s",
             f"harness total: {total_wall_s:.3f}s",
         ],
         data={
@@ -96,6 +98,9 @@ def test_losslessness_at_scale(report):
             "load_wall_s": round(validation.load_s, 4),
             "check_wall_s": round(validation.check_s, 4),
             "round_trip_wall_s": round(validation.round_trip_s, 4),
+            "plan_wall_s": round(validation.plan_s, 4),
+            "matrix_wall_s": round(validation.matrix_s, 4),
+            "inject_wall_s": round(validation.plan_s + validation.matrix_s, 4),
             "load_rows_per_s": round(load_rate, 1),
             "check_rows_per_s": round(check_rate, 1),
             "round_trip_rows_per_s": round(round_trip_rate, 1),
@@ -147,7 +152,8 @@ def test_forward_map_wall_at_1e5(cris):
 )
 def test_ceiling_at_1e6(cris):
     """The full harness at the 1e6-row scale ceiling: chunked bulk
-    load, sharded check phase and incremental injection matrix."""
+    load, sharded check phase, delta-verified injection planning and
+    the delta-replay injection matrix."""
     started = perf_counter()
     validation = run_validation(
         cris, backend="auto", scale=SCALE_1E6, seed=SEED, check_workers=4
@@ -173,6 +179,8 @@ def test_ceiling_at_1e6(cris):
             f"{validation.check_workers} workers",
             f"round trip: {validation.round_trip_s:.3f}s "
             f"({round_trip_rate:,.0f} rows/s), empty diff",
+            f"injections: planned in {validation.plan_s:.3f}s, "
+            f"replayed in {validation.matrix_s:.3f}s",
             f"harness total: {total_wall_s:.3f}s",
         ],
         data={
@@ -181,6 +189,11 @@ def test_ceiling_at_1e6(cris):
             "scale1e6_load_wall_s": round(validation.load_s, 4),
             "scale1e6_check_wall_s": round(validation.check_s, 4),
             "scale1e6_round_trip_wall_s": round(validation.round_trip_s, 4),
+            "scale1e6_plan_wall_s": round(validation.plan_s, 4),
+            "scale1e6_matrix_wall_s": round(validation.matrix_s, 4),
+            "scale1e6_inject_wall_s": round(
+                validation.plan_s + validation.matrix_s, 4
+            ),
             "scale1e6_load_rows_per_s": round(load_rate, 1),
             "scale1e6_check_rows_per_s": round(check_rate, 1),
             "scale1e6_round_trip_rows_per_s": round(round_trip_rate, 1),

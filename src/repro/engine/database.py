@@ -12,9 +12,13 @@ validates state equivalence end-to-end.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from itertools import compress, count
+from operator import is_, itemgetter
 
-from repro.engine.query import Row, duplicates, project, select_rows
+from repro.engine.query import Row, select_rows
 from repro.errors import EngineError, IntegrityViolation
 from repro.relational.constraints import (
     CandidateKey,
@@ -27,6 +31,20 @@ from repro.relational.constraints import (
 )
 from repro.relational.predicates import Predicate
 from repro.relational.schema import RelationalSchema
+
+_is_null = partial(is_, None)
+
+
+def _key_tuples(rows: list[Row], columns: Sequence[str]) -> Iterator[tuple]:
+    """Each row's ``columns`` values as one tuple, at C speed.
+
+    Stored rows are complete dicts (every insert path fills absent
+    columns with NULL), so ``itemgetter`` is exact here where the
+    public :mod:`repro.engine.query` helpers need ``row.get``.
+    """
+    if len(columns) == 1:
+        return zip(map(itemgetter(columns[0]), rows))
+    return map(itemgetter(*columns), rows)
 
 
 class Database:
@@ -50,15 +68,22 @@ class Database:
         constraints were meant to be verified by application programs
         rather than per-statement.
         """
+        complete = self.normalize(relation_name, row)
+        self._tables[relation_name].append(complete)
+        return complete
+
+    def normalize(self, relation_name: str, row: Mapping[str, object]) -> Row:
+        """``row`` as stored: every attribute in order, missing ones NULL.
+
+        Unknown columns are rejected.
+        """
         relation = self.schema.relation(relation_name)
         unknown = set(row) - set(relation.attribute_names)
         if unknown:
             raise EngineError(
                 f"relation {relation_name!r} has no columns {sorted(unknown)}"
             )
-        complete: Row = {name: row.get(name) for name in relation.attribute_names}
-        self._tables[relation_name].append(complete)
-        return complete
+        return {name: row.get(name) for name in relation.attribute_names}
 
     def insert_many(
         self, relation_name: str, rows: Iterable[Mapping[str, object]]
@@ -120,6 +145,10 @@ class Database:
         removed = len(table) - len(keep)
         self._tables[relation_name] = keep
         return removed
+
+    def remove(self, relation_name: str, row: Mapping[str, object]) -> None:
+        """Delete one stored row equal to ``row`` (normalized first)."""
+        self._tables[relation_name].remove(self.normalize(relation_name, row))
 
     # ------------------------------------------------------------------
     # Queries
@@ -193,10 +222,60 @@ class Database:
             return [dict(row) for row in matched]
         return [{c: row.get(c) for c in columns} for row in matched]
 
+    # ------------------------------------------------------------------
+    # Checking kernels: one C-speed scan per constraint shape, shared by
+    # :meth:`check` and the in-memory backend's rule interpreter.
+    # ------------------------------------------------------------------
+
     def evaluate_select(self, spec: SelectSpec) -> set[tuple[object, ...]]:
         """The tuple set denoted by one side of a view constraint."""
-        matched = select_rows(self._tables[spec.relation], spec.where)
-        return set(project(matched, spec.columns, distinct=True))
+        rows = self._tables[spec.relation]
+        if spec.where is not None:
+            rows = list(filter(spec.where.evaluate, rows))
+        return set(_key_tuples(rows, spec.columns))
+
+    def null_cells(
+        self, relation_name: str, columns: Sequence[str]
+    ) -> list[tuple[Row, str]]:
+        """Every ``(row, column)`` holding NULL among ``columns``, in
+        row-major order."""
+        table = self._tables[relation_name]
+        found = sorted(
+            (position, index)
+            for index, column in enumerate(columns)
+            for position in compress(
+                count(), map(_is_null, map(itemgetter(column), table))
+            )
+        )
+        return [(table[position], columns[index]) for position, index in found]
+
+    def duplicate_keys(
+        self, relation_name: str, columns: Sequence[str]
+    ) -> list[tuple[object, ...]]:
+        """NULL-free key tuples held by more than one row, in order of
+        first appearance."""
+        counts = Counter(_key_tuples(self._tables[relation_name], columns))
+        return [key for key, n in counts.items() if n > 1 and None not in key]
+
+    def unmatched_rows(self, constraint: ForeignKey) -> list[Row]:
+        """Rows whose NULL-free foreign-key tuple has no referenced match
+        (partially or fully NULL tuples need none)."""
+        table = self._tables[constraint.relation]
+        referenced = set(
+            _key_tuples(
+                self._tables[constraint.referenced_relation],
+                constraint.referenced_columns,
+            )
+        )
+        missing = {
+            key
+            for key in set(_key_tuples(table, constraint.columns)) - referenced
+            if None not in key
+        }
+        if not missing:  # the valid state: no second pass
+            return []
+        keys = _key_tuples(table, constraint.columns)
+        return [row for row, key in zip(table, keys) if key in missing]
 
     # ------------------------------------------------------------------
     # Constraint checking
@@ -237,23 +316,20 @@ class Database:
         violations = []
         for relation in self.schema.relations:
             required = [a.name for a in relation.attributes if not a.nullable]
-            for row in self._tables[relation.name]:
-                for column in required:
-                    if row.get(column) is None:
-                        violations.append(
-                            IntegrityViolation(
-                                f"NOT NULL {relation.name}.{column}",
-                                f"row {row!r} has NULL in mandatory column "
-                                f"{column!r}",
-                            )
-                        )
+            for row, column in self.null_cells(relation.name, required):
+                violations.append(
+                    IntegrityViolation(
+                        f"NOT NULL {relation.name}.{column}",
+                        f"row {row!r} has NULL in mandatory column "
+                        f"{column!r}",
+                    )
+                )
         return violations
 
     def _check_key(
         self, constraint: PrimaryKey | CandidateKey
     ) -> list[IntegrityViolation]:
         violations = []
-        table = self._tables[constraint.relation]
         if isinstance(constraint, PrimaryKey):
             # Entity integrity — unless the attribute was explicitly made
             # nullable (the paper's "NULL ALLOWED" option deliberately
@@ -263,15 +339,14 @@ class Database:
             for column in constraint.columns:
                 if relation.attribute(column).nullable:
                     continue
-                for row in table:
-                    if row.get(column) is None:
-                        violations.append(
-                            IntegrityViolation(
-                                constraint.name,
-                                f"NULL in primary key column {column!r}",
-                            )
+                for _ in self.null_cells(constraint.relation, (column,)):
+                    violations.append(
+                        IntegrityViolation(
+                            constraint.name,
+                            f"NULL in primary key column {column!r}",
                         )
-        for key in duplicates(table, constraint.columns):
+                    )
+        for key in self.duplicate_keys(constraint.relation, constraint.columns):
             violations.append(
                 IntegrityViolation(
                     constraint.name,
@@ -281,25 +356,16 @@ class Database:
         return violations
 
     def _check_foreign_key(self, constraint: ForeignKey) -> list[IntegrityViolation]:
-        referenced = {
-            tuple(row.get(c) for c in constraint.referenced_columns)
-            for row in self._tables[constraint.referenced_relation]
-        }
-        violations = []
-        for row in self._tables[constraint.relation]:
-            key = tuple(row.get(c) for c in constraint.columns)
-            if any(value is None for value in key):
-                continue  # partially/fully NULL FKs do not need a match
-            if key not in referenced:
-                violations.append(
-                    IntegrityViolation(
-                        constraint.name,
-                        f"{constraint.relation!r} value {key!r} has no match "
-                        f"in {constraint.referenced_relation!r}"
-                        f"({', '.join(constraint.referenced_columns)})",
-                    )
-                )
-        return violations
+        return [
+            IntegrityViolation(
+                constraint.name,
+                f"{constraint.relation!r} value "
+                f"{tuple(row[c] for c in constraint.columns)!r} has no match "
+                f"in {constraint.referenced_relation!r}"
+                f"({', '.join(constraint.referenced_columns)})",
+            )
+            for row in self.unmatched_rows(constraint)
+        ]
 
     def _check_check(self, constraint: CheckConstraint) -> list[IntegrityViolation]:
         return [

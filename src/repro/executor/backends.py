@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass
 
 from repro.engine.database import Database
-from repro.engine.query import duplicates
 from repro.errors import RidlError
 from repro.executor.compile import CompiledRule
 from repro.executor.ddl import create_table_statements, index_statements
@@ -87,12 +86,14 @@ class Backend:
     def insert_rows(self, relation: str, rows: list[dict]) -> None:
         raise NotImplementedError
 
-    def replace_rows(self, relation: str, rows: list[dict]) -> None:
-        """Swap one relation's rows in place (indexes kept).
+    def delete_rows(self, relation: str, rows: list[dict]) -> None:
+        """Delete one stored row equal to each of ``rows``.
 
-        The incremental injection-replay path: instead of rebuilding
-        the whole database per injection, only the touched relations
-        are replaced and later restored.
+        The injection replay's half-step: a one-row delta is applied
+        by deleting the clean row it replaces and inserting the new
+        one, and undone the other way round.  Equality is NULL-safe,
+        since both the clean rows (nullable columns) and the injected
+        ones (a NULL breach) can hold NULLs.
         """
         raise NotImplementedError
 
@@ -168,9 +169,9 @@ class MemoryBackend(Backend):
     def insert_rows(self, relation: str, rows: list[dict]) -> None:
         self.database.insert_many(relation, rows)
 
-    def replace_rows(self, relation: str, rows: list[dict]) -> None:
-        self.database.delete(relation)
-        self.database.insert_many(relation, rows)
+    def delete_rows(self, relation: str, rows: list[dict]) -> None:
+        for row in rows:
+            self.database.remove(relation, row)
 
     def rows(self, relation: str) -> list[dict]:
         return self.database.rows(relation)
@@ -185,33 +186,20 @@ class MemoryBackend(Backend):
         return self.database.count(relation)
 
     def run_rule(self, rule: CompiledRule) -> Violation | None:
-        # Read-only interpretation: iterate the engine's live rows
-        # (``iter_rows``) instead of copying whole tables per rule —
-        # the injection planner runs this checker hundreds of times.
+        # Read-only interpretation through the engine's checking
+        # kernels, which scan the live rows without copying them — the
+        # injection planner runs this checker for every candidate.
         database = self.database
         constraint = rule.constraint
         if rule.kind == "not-null":
             bad = [
                 row
-                for row in database.iter_rows(rule.relation)
-                if row.get(rule.column) is None
+                for row, _ in database.null_cells(rule.relation, (rule.column,))
             ]
         elif rule.kind in ("primary-key", "candidate-key"):
-            bad = duplicates(
-                list(database.iter_rows(rule.relation)), constraint.columns
-            )
+            bad = database.duplicate_keys(rule.relation, constraint.columns)
         elif rule.kind == "foreign-key":
-            referenced = {
-                tuple(row.get(c) for c in constraint.referenced_columns)
-                for row in database.iter_rows(constraint.referenced_relation)
-            }
-            bad = [
-                row
-                for row in database.iter_rows(rule.relation)
-                if None
-                not in (key := tuple(row.get(c) for c in constraint.columns))
-                and key not in referenced
-            ]
+            bad = database.unmatched_rows(constraint)
         elif rule.kind == "check":
             bad = [
                 row
@@ -235,6 +223,9 @@ class MemoryBackend(Backend):
 
 class _SqlBackend(Backend):
     """Shared machinery for the DB-API backends (``?`` placeholders)."""
+
+    #: The dialect's NULL-safe equality operator (NULL matches NULL).
+    null_safe_equals = "IS"
 
     def __init__(self) -> None:
         self._connection = None
@@ -268,9 +259,19 @@ class _SqlBackend(Backend):
                 [tuple(row.get(column) for column in columns) for row in chunk],
             )
 
-    def replace_rows(self, relation: str, rows: list[dict]) -> None:
-        self._connection.execute(f"DELETE FROM {relation}")
-        self.insert_rows(relation, rows)
+    def delete_rows(self, relation: str, rows: list[dict]) -> None:
+        columns = self._schema.relation(relation).attribute_names
+        match = " AND ".join(
+            f"{column} {self.null_safe_equals} ?" for column in columns
+        )
+        statement = (
+            f"DELETE FROM {relation} WHERE rowid = "
+            f"(SELECT rowid FROM {relation} WHERE {match} LIMIT 1)"
+        )
+        for row in rows:
+            self._connection.execute(
+                statement, tuple(row.get(column) for column in columns)
+            )
 
     def finish_load(self) -> None:
         # Index every declared key after the bulk load: the FK
@@ -383,6 +384,7 @@ class DuckDBBackend(_SqlBackend):
     """In-memory DuckDB — the 1e5+-row scale target."""
 
     name = "duckdb"
+    null_safe_equals = "IS NOT DISTINCT FROM"
 
     def _connect(self):
         try:

@@ -84,7 +84,7 @@ class CompiledRule:
     def relations(self) -> frozenset[str]:
         """Every relation this rule's verdict depends on.
 
-        The incremental replay paths (injection matrix, COW
+        The incremental replay paths (injection matrix, delta
         verifier) re-run a rule only when one of its dependency
         relations changed; a rule whose dependencies are untouched
         keeps its baseline verdict.

@@ -12,8 +12,8 @@ population, all on a pluggable backend:
    of the paper, now through a real SQL engine instead of symbolic
    state).
 3. **Inject & detect** — plan one surgical violation per mutator
-   kind (:mod:`repro.robustness.violations`), replay each mutated
-   dataset on the backend, and record the *detection matrix*: which
+   kind (:mod:`repro.robustness.violations`), replay each one-row
+   delta on the backend, and record the *detection matrix*: which
    rules fired for which injection.  Losslessness in the negative:
    the matrix must be exactly diagonal — every injection is caught by
    its target rule and by no other.
@@ -66,7 +66,7 @@ def dataset_of(database: Database) -> Dataset:
     """The database's tables as a plain loadable dataset.
 
     The row dicts are *shared* with the database, not copied: every
-    consumer (bulk loaders, the copy-on-write injection planner)
+    consumer (bulk loaders, the injection planner's delta verifier)
     treats dataset rows as read-only, so at harness scale there is no
     point duplicating a million dicts.
     """
@@ -278,11 +278,12 @@ class DetectionMatrix:
 
 @dataclass(frozen=True)
 class _MatrixItem:
-    """One injection's replay payload: only what its shard needs."""
+    """One injection's replay payload: its delta's rows and rules."""
 
     index: int
-    touched: tuple[str, ...]
-    rows: dict
+    relation: str
+    removed: tuple[dict, ...]
+    added: tuple[dict, ...]
     rules: tuple[CompiledRule, ...]
 
 
@@ -291,14 +292,13 @@ class _MatrixTask:
     """One worker's slice of the injection matrix.
 
     ``schema`` rides along because a snapshot connection alone cannot
-    drive ``replace_rows`` (the INSERT statements need the relations'
-    attribute order).
+    replay a delta (the row statements need the relations' attribute
+    order).
     """
 
     db_path: str
     shard_index: int
     items: tuple[_MatrixItem, ...]
-    restore: dict
     schema: object = None
     trace_parent: int | None = None
 
@@ -308,6 +308,16 @@ class _MatrixResult:
     fired: tuple[tuple[int, tuple[str, ...]], ...]
     spans: list | None = None
     metrics: dict | None = None
+
+
+def _replay(backend: Backend, item: _MatrixItem) -> tuple[str, ...]:
+    """Apply one delta, run its affected rules, apply the inverse."""
+    backend.delete_rows(item.relation, item.removed)
+    backend.insert_rows(item.relation, item.added)
+    fired = tuple(sorted({v.rule for v in backend.check(item.rules)}))
+    backend.delete_rows(item.relation, item.added)
+    backend.insert_rows(item.relation, item.removed)
+    return fired
 
 
 def _matrix_shard(task: _MatrixTask) -> _MatrixResult:
@@ -335,17 +345,9 @@ def _matrix_shard_fired(
             shard=task.shard_index,
             injections=len(task.items),
         ):
-            out = []
-            for item in task.items:
-                for relation in item.touched:
-                    backend.replace_rows(relation, item.rows[relation])
-                fired = tuple(
-                    sorted({v.rule for v in backend.check(item.rules)})
-                )
-                for relation in item.touched:
-                    backend.replace_rows(relation, task.restore[relation])
-                out.append((item.index, fired))
-            return tuple(out)
+            return tuple(
+                (item.index, _replay(backend, item)) for item in task.items
+            )
     finally:
         backend.close()
 
@@ -353,9 +355,7 @@ def _matrix_shard_fired(
 def _replay_injections(
     backend: Backend,
     schema,
-    injections: list[Injection],
-    affected: list[tuple[CompiledRule, ...]],
-    baseline: Dataset,
+    items: list[_MatrixItem],
     *,
     workers: int = 1,
     parent_span=None,
@@ -363,52 +363,28 @@ def _replay_injections(
     """Which affected rules fire per injection, optionally sharded.
 
     With ``workers > 1`` on a snapshot-capable backend, the loaded
-    baseline is snapshotted *once* and each worker process forks its
-    own copy, replaying its share of injections against it — instead
-    of re-deriving a baseline per injection.  Serial replay swaps
-    touched relations in and back out on the live backend.  Either
-    way the result is deterministic and the backend is left holding
-    the baseline state.
+    baseline is snapshotted *once* and each worker process replays
+    its share of the deltas on its own copy.  Serially the deltas
+    are replayed on the live backend.  Either way the result is
+    deterministic and the backend is left holding the baseline rows.
     """
-    effective = resolve_check_workers(workers, len(injections))
+    effective = resolve_check_workers(workers, len(items))
     tracer = _obs_active()
     if effective > 1:
         with tempfile.TemporaryDirectory(prefix="repro-inject-") as tmp:
             snapshot = os.path.join(tmp, "baseline.db")
             if backend.snapshot_to(snapshot):
-                shards: list[list[_MatrixItem]] = [
-                    [] for _ in range(effective)
-                ]
-                for index, injection in enumerate(injections):
-                    touched = tuple(sorted(injection.touched))
-                    shards[index % effective].append(
-                        _MatrixItem(
-                            index=index,
-                            touched=touched,
-                            rows={
-                                name: injection.dataset[name]
-                                for name in touched
-                            },
-                            rules=affected[index],
-                        )
-                    )
                 tasks = [
                     _MatrixTask(
                         db_path=snapshot,
                         shard_index=shard_index,
-                        items=tuple(shard),
-                        restore={
-                            name: baseline[name]
-                            for item in shard
-                            for name in item.touched
-                        },
+                        items=tuple(items[shard_index::effective]),
                         schema=schema,
                         trace_parent=(
                             None if tracer is None else os.getpid()
                         ),
                     )
-                    for shard_index, shard in enumerate(shards)
-                    if shard
+                    for shard_index in range(effective)
                 ]
                 with ProcessPoolExecutor(max_workers=effective) as pool:
                     results = list(pool.map(_matrix_shard, tasks))
@@ -430,17 +406,7 @@ def _replay_injections(
                     indexed.extend(result.fired)
                 indexed.sort(key=lambda pair: pair[0])
                 return [fired for _, fired in indexed]
-    fired_all = []
-    for injection, rules in zip(injections, affected):
-        touched = sorted(injection.touched)
-        for relation in touched:
-            backend.replace_rows(relation, injection.dataset[relation])
-        fired_all.append(
-            tuple(sorted({v.rule for v in backend.check(rules)}))
-        )
-        for relation in touched:
-            backend.replace_rows(relation, baseline[relation])
-    return fired_all
+    return [_replay(backend, item) for item in items]
 
 
 def detection_matrix(
@@ -449,60 +415,38 @@ def detection_matrix(
     rules: tuple[CompiledRule, ...],
     injections: list[Injection],
     *,
-    baseline: Dataset | None = None,
+    baseline: Dataset,
     skipped_kinds: tuple[str, ...] = (),
     reuse_loaded: bool = False,
     baseline_violations: frozenset[str] | None = None,
     workers: int = 1,
 ) -> DetectionMatrix:
-    """Replay planned injections on a backend, one at a time.
+    """Replay planned injections on a backend holding ``baseline``.
 
-    When ``baseline`` (the clean dataset) is given and every
-    injection knows its ``touched`` relations, the baseline is loaded
-    once and each replay only swaps the touched relations in and back
-    out (:meth:`Backend.replace_rows`) — at harness scale an
-    injection touches one or two relations of a million-row dataset,
-    so full per-injection reloads dominated the inject phase.
+    ``baseline`` (the clean dataset) is loaded once, and each
+    injection's one-row delta is applied, checked and undone in
+    place (:meth:`Backend.delete_rows` plus
+    :meth:`Backend.insert_rows`), so the backend ends holding the
+    baseline rows again.
 
-    On this incremental path only the rules whose dependency
-    relations (:attr:`CompiledRule.relations`) intersect an
-    injection's touched set are re-run; every other rule sees exactly
-    the baseline rows, so its baseline verdict carries over.  Pass
-    ``baseline_violations`` (the rule names violated on the clean
-    state) to skip re-deriving them, and ``reuse_loaded=True`` when
-    the backend already holds the loaded baseline — the harness does
-    both, so the dataset is loaded exactly once per validation run.
-    ``workers > 1`` shards the replays across processes, each forking
-    the baseline snapshot (see :func:`_replay_injections`).
+    Only the rules whose dependency relations
+    (:attr:`CompiledRule.relations`) include the delta's relation are
+    re-run; every other rule sees exactly the baseline rows, so its
+    baseline verdict carries over.  Pass ``baseline_violations``
+    (the rule names violated on the clean state) to skip re-deriving
+    them, and ``reuse_loaded=True`` when the backend already holds
+    the loaded baseline — the harness does both, so the dataset is
+    loaded exactly once per validation run.  ``workers > 1`` shards
+    the replays across processes, each forking the baseline snapshot
+    (see :func:`_replay_injections`).
     """
     matrix = DetectionMatrix(backend.name, skipped_kinds=skipped_kinds)
-    incremental = baseline is not None and all(
-        injection.touched for injection in injections
-    )
     with _obs_span(
         "executor.inject",
         backend=backend.name,
         injections=len(injections),
-        incremental=incremental,
     ) as inject_span:
         if not injections:
-            return matrix
-        if not incremental:
-            for injection in injections:
-                load_dataset(backend, schema, injection.dataset)
-                detected = tuple(
-                    sorted({v.rule for v in backend.check(rules)})
-                )
-                _obs_count("executor.violations", len(detected))
-                matrix.rows.append(
-                    MatrixRow(
-                        injection.kind,
-                        injection.rule,
-                        injection.relation,
-                        injection.description,
-                        detected,
-                    )
-                )
             return matrix
         if not reuse_loaded:
             load_dataset(backend, schema, baseline)
@@ -511,21 +455,28 @@ def detection_matrix(
                 violation.rule for violation in backend.check(rules)
             )
         deps = {rule.name: rule.relations for rule in rules}
-        affected = [
-            tuple(
-                rule for rule in rules if deps[rule.name] & injection.touched
+        items = [
+            _MatrixItem(
+                index=index,
+                relation=injection.delta.relation,
+                removed=injection.delta.removed(baseline),
+                added=injection.delta.added,
+                rules=tuple(
+                    rule
+                    for rule in rules
+                    if injection.delta.relation in deps[rule.name]
+                ),
             )
-            for injection in injections
+            for index, injection in enumerate(injections)
         ]
         fired = _replay_injections(
-            backend, schema, injections, affected, baseline,
-            workers=workers, parent_span=inject_span,
+            backend, schema, items, workers=workers, parent_span=inject_span,
         )
         for injection, fired_rules in zip(injections, fired):
             carried = {
                 name
                 for name in baseline_violations
-                if not (deps[name] & injection.touched)
+                if injection.delta.relation not in deps[name]
             }
             detected = tuple(sorted(set(fired_rules) | carried))
             _obs_count("executor.violations", len(detected))
@@ -568,6 +519,10 @@ class ValidationReport:
     #: Rules skipped under ``prune_implied`` (rule name -> the proof
     #: the implication engine produced).  Empty when pruning is off.
     pruned_rules: dict[str, str] = field(default_factory=dict)
+    #: The injection phase: planning on the reference backend, and
+    #: the detection matrix's replay.  Zero without ``inject``.
+    plan_s: float = 0.0
+    matrix_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -615,6 +570,8 @@ class ValidationReport:
                 "round_trip_rows_per_s": round(
                     self._rate(self.round_trip_s), 1
                 ),
+                "plan_s": round(self.plan_s, 6),
+                "matrix_s": round(self.matrix_s, 6),
                 "check_workers": self.check_workers,
             },
         }
@@ -658,6 +615,8 @@ class ValidationReport:
                 f"  detection matrix: "
                 f"{len(self.matrix.rows)} injections, "
                 + ("diagonal" if self.matrix.diagonal else "NOT diagonal")
+                + f" (planned in {self.plan_s:.3f} s, "
+                f"replayed in {self.matrix_s:.3f} s)"
             )
             for row in self.matrix.rows:
                 mark = "ok" if row.diagonal else "MISMATCH"
@@ -740,10 +699,13 @@ def run_validation(
 
             matrix = None
             skipped: tuple[str, ...] = ()
+            plan_s = matrix_s = 0.0
             if inject:
+                started = perf_counter()
                 injections = plan_injections(
                     result.relational, rules, dataset, seed=seed
                 )
+                plan_s = perf_counter() - started
                 planned = {injection.kind for injection in injections}
                 skipped = tuple(
                     kind for kind in MUTATOR_KINDS if kind not in planned
@@ -752,6 +714,7 @@ def run_validation(
                 # check phase and round trip only read), and the
                 # clean-state check already ran: reuse both instead
                 # of reloading and rechecking per injection.
+                started = perf_counter()
                 matrix = detection_matrix(
                     runner, result.relational, rules, injections,
                     baseline=dataset, skipped_kinds=skipped,
@@ -759,6 +722,7 @@ def run_validation(
                     baseline_violations=frozenset(valid_violations),
                     workers=check_workers,
                 )
+                matrix_s = perf_counter() - started
         finally:
             runner.close()
         rule_counts: dict[str, int] = {}
@@ -783,6 +747,8 @@ def run_validation(
             check_workers=workers_used,
             read_path=read_path,
             pruned_rules=pruned,
+            plan_s=plan_s,
+            matrix_s=matrix_s,
         )
 
 

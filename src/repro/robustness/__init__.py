@@ -32,6 +32,7 @@ from repro.robustness.health import (
 from repro.robustness.violations import (
     MUTATOR_KINDS,
     MUTATORS,
+    Delta,
     Injection,
     plan_injections,
 )
@@ -39,6 +40,7 @@ from repro.robustness.violations import (
 __all__ = [
     "Checkpoint",
     "CheckpointManager",
+    "Delta",
     "Fault",
     "FaultInjectedError",
     "FaultInjector",

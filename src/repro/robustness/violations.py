@@ -30,15 +30,23 @@ flags the target rule *and nothing else*.  That check runs on the
 in-memory reference backend; the detection matrix then replays the
 accepted injections on the SQL backends, where diagonality is an
 empirical result rather than a construction.
+
+Every candidate is a one-row :class:`Delta` against the clean
+dataset — replace, append or delete one row of one relation — so
+neither the planner nor the matrix ever copies or reloads a whole
+relation to try one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.brm.datatypes import DataTypeKind
+from repro.observability.tracer import count as _obs_count
+from repro.observability.tracer import span as _obs_span
 from repro.relational.constraints import SelectSpec
 from repro.relational.schema import RelationalSchema
 
@@ -63,113 +71,94 @@ Dataset = dict[str, list[dict]]
 
 
 @dataclass(frozen=True)
-class Injection:
-    """One accepted violation: a mutated dataset plus its target.
+class Delta:
+    """A one-row edit of one relation of the clean dataset.
 
-    ``touched`` names the relations whose rows differ from the clean
-    dataset; the detection matrix uses it to replay the injection by
-    replacing (and later restoring) only those relations instead of
-    rebuilding the whole database.  Empty when unknown — consumers
-    must then fall back to a full reload.
+    Replaces row ``index`` with ``row``, appends ``row`` (``index``
+    None) or deletes row ``index`` (``row`` None).  A backend holding
+    the clean state applies it by deleting :meth:`removed` and
+    inserting :attr:`added`, and undoes it the other way round.
     """
+
+    relation: str
+    index: int | None = None
+    row: dict | None = None
+
+    @property
+    def added(self) -> tuple[dict, ...]:
+        """The row this edit puts in; none for a delete."""
+        return () if self.row is None else (self.row,)
+
+    def removed(self, dataset: Dataset) -> tuple[dict, ...]:
+        """The clean row this edit takes out; none for an append."""
+        if self.index is None:
+            return ()
+        return (dataset[self.relation][self.index],)
+
+    def splice(self, rows: list[dict]) -> list[dict]:
+        """A copy of the relation's clean ``rows`` with this edit made."""
+        spliced = list(rows)
+        if self.index is None:
+            spliced.append(self.row)
+        elif self.row is None:
+            del spliced[self.index]
+        else:
+            spliced[self.index] = self.row
+        return spliced
+
+
+@dataclass(frozen=True)
+class Injection:
+    """One accepted violation: a one-row delta plus its target."""
 
     kind: str
     rule: str
     rule_kind: str
     relation: str
     description: str
-    dataset: Dataset
-    touched: frozenset[str] = frozenset()
+    delta: Delta
+    #: The clean dataset the delta edits (shared, never written).
+    clean: Dataset = field(repr=False, compare=False)
+
+    @property
+    def touched(self) -> frozenset[str]:
+        """The one relation whose rows differ from the clean dataset."""
+        return frozenset((self.delta.relation,))
+
+    @property
+    def dataset(self) -> Dataset:
+        """The full mutated dataset: the clean one with the delta made."""
+        relation = self.delta.relation
+        return {**self.clean, relation: self.delta.splice(self.clean[relation])}
 
 
-def copy_dataset(dataset: Dataset) -> Dataset:
-    """An independent row-level copy."""
-    return {name: [dict(row) for row in rows] for name, rows in dataset.items()}
-
-
-class _CowDataset(dict):
-    """A copy-on-write dataset copy.
-
-    Candidate mutations touch one or two relations of a dataset that
-    can hold hundreds of thousands of rows; deep-copying every
-    relation per candidate made ``--inject`` setup scale with
-    (candidates x dataset size).  This copy shares the base row lists
-    and deep-copies a relation the first time it is *indexed* —
-    every mutator writes through ``mutated[relation]``, so the write
-    paths all trigger materialization.  ``touched`` records exactly
-    the materialized (hence possibly mutated) relations.
-    """
-
-    __slots__ = ("base", "touched")
-
-    def __init__(self, base: Dataset) -> None:
-        super().__init__(base)
-        self.base = base
-        self.touched: set[str] = set()
-
-    def __getitem__(self, name: str) -> list[dict]:
-        rows = super().__getitem__(name)
-        if name not in self.touched:
-            rows = [dict(row) for row in rows]
-            super().__setitem__(name, rows)
-            self.touched.add(name)
-        return rows
-
-
-def _cow_copy(dataset: Dataset) -> _CowDataset:
-    """A copy-on-write copy for the candidate mutators."""
-    if isinstance(dataset, _CowDataset):
-        # Copy from the shared base so sibling candidates never see
-        # each other's mutations.
-        return _CowDataset(dataset.base)
-    return _CowDataset(dataset)
-
-
-#: ``id(dataset) -> (dataset, value set)`` for :func:`fresh_value`.
-#: Identity-keyed (with an ``is`` re-check against id reuse) because
-#: the planner probes the *same* clean dataset hundreds of times —
-#: once per freshened column per candidate — and rebuilding the
-#: value set each time scaled with (candidates x dataset size).
-#: Bounded: cleared once it holds a handful of datasets.
-_VALUES_CACHE: dict[int, tuple[Dataset, frozenset]] = {}
-
-
-def _known_values(dataset: Dataset) -> frozenset:
+def known_values(dataset: Dataset) -> frozenset:
     """Every non-NULL value appearing anywhere in the dataset."""
-    cached = _VALUES_CACHE.get(id(dataset))
-    if cached is not None and cached[0] is dataset:
-        return cached[1]
-    values = frozenset(
-        value
-        for rows in dataset.values()
-        for row in rows
-        for value in row.values()
-        if value is not None
-    )
-    if len(_VALUES_CACHE) >= 4:
-        _VALUES_CACHE.clear()
-    _VALUES_CACHE[id(dataset)] = (dataset, values)
-    return values
+    values = set()
+    for rows in dataset.values():
+        values.update(chain.from_iterable(map(dict.values, rows)))
+    values.discard(None)
+    return frozenset(values)
 
 
 def fresh_value(
     schema: RelationalSchema,
     relation: str,
     column: str,
-    dataset: Dataset,
+    known: frozenset,
     offset: int,
 ):
-    """A value of the column's type appearing nowhere in the dataset.
+    """A value of the column's type outside ``known``.
 
     Typed (integers for integer-like numerics, floats for scaled
     ones, strings otherwise) so the SQL backends accept it into the
-    column, and globally fresh so it cannot accidentally match a
+    column, and globally fresh — ``known`` is the dataset's
+    :func:`known_values` — so it cannot accidentally match a
     referenced key or a view tuple elsewhere.
     """
     datatype = schema.domain(
         schema.relation(relation).attribute(column).domain
     ).datatype
-    everywhere = _known_values(dataset)
     if datatype.kind in (DataTypeKind.NUMERIC, DataTypeKind.INTEGER,
                          DataTypeKind.SMALLINT, DataTypeKind.REAL):
         scaled = (
@@ -178,11 +167,11 @@ def fresh_value(
                 and datatype.scale is not None)
         )
         candidate = 900000 + offset
-        while candidate in everywhere or float(candidate) in everywhere:
+        while candidate in known or (scaled and candidate + 0.5 in known):
             candidate += 1
-        return float(candidate) + 0.5 if scaled else candidate
+        return candidate + 0.5 if scaled else candidate
     candidate = f"viol_{offset}"
-    while candidate in everywhere:
+    while candidate in known:
         candidate = candidate + "x"
     return candidate
 
@@ -210,22 +199,23 @@ def _other_key_columns(
 
 # ---------------------------------------------------------------------------
 # One candidate generator per mutator kind.  Each yields
-# ``(dataset, description)`` pairs in a seeded deterministic order;
-# the planner verifies them for surgical-ness.
+# ``(Delta, description)`` pairs in a seeded deterministic order; the
+# planner verifies them for surgical-ness.  ``known`` is the clean
+# dataset's :func:`known_values`, for :func:`fresh_value`.
 # ---------------------------------------------------------------------------
 
 
-def _null_breach(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
+def _null_breach(schema, rule, dataset, known, rng) -> Iterator[tuple[Delta, str]]:
     rows = dataset.get(rule.relation, [])
     for index in _row_order(rows, rng):
-        mutated = _cow_copy(dataset)
-        mutated[rule.relation][index][rule.column] = None
-        yield mutated, (
+        row = dict(rows[index])
+        row[rule.column] = None
+        yield Delta(rule.relation, index, row), (
             f"set {rule.relation}[{index}].{rule.column} to NULL"
         )
 
 
-def _duplicate_key(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
+def _duplicate_key(schema, rule, dataset, known, rng) -> Iterator[tuple[Delta, str]]:
     constraint = rule.constraint
     rows = dataset.get(rule.relation, [])
     others = _other_key_columns(schema, rule.relation, constraint.columns)
@@ -238,19 +228,17 @@ def _duplicate_key(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
         clone = dict(base)
         for offset, column in enumerate(others):
             clone[column] = fresh_value(
-                schema, rule.relation, column, dataset, offset
+                schema, rule.relation, column, known, offset
             )
-        mutated = _cow_copy(dataset)
-        mutated[rule.relation].append(clone)
-        yield mutated, (
+        yield Delta(rule.relation, row=clone), (
             f"duplicated {rule.relation}[{index}] under key "
             f"({', '.join(constraint.columns)})"
         )
         # (b) a verbatim duplicate (surgical when the relation has a
         # single key and no set-valued semantics elsewhere).
-        mutated = _cow_copy(dataset)
-        mutated[rule.relation].append(dict(base))
-        yield mutated, f"re-inserted {rule.relation}[{index}] verbatim"
+        yield Delta(rule.relation, row=dict(base)), (
+            f"re-inserted {rule.relation}[{index}] verbatim"
+        )
     # (c) overwrite another row's key with this row's key values.
     for index in _row_order(rows, rng):
         base = rows[index]
@@ -259,10 +247,10 @@ def _duplicate_key(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
         for victim in _row_order(rows, rng):
             if victim == index:
                 continue
-            mutated = _cow_copy(dataset)
+            row = dict(rows[victim])
             for column in constraint.columns:
-                mutated[rule.relation][victim][column] = base[column]
-            yield mutated, (
+                row[column] = base[column]
+            yield Delta(rule.relation, victim, row), (
                 f"overwrote {rule.relation}[{victim}] key with "
                 f"{rule.relation}[{index}]'s"
             )
@@ -270,8 +258,8 @@ def _duplicate_key(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
 
 
 def _orphan_foreign_key(
-    schema, rule, dataset, rng
-) -> Iterator[tuple[Dataset, str]]:
+    schema, rule, dataset, known, rng
+) -> Iterator[tuple[Delta, str]]:
     constraint = rule.constraint
     rows = dataset.get(rule.relation, [])
     others = _other_key_columns(schema, rule.relation, constraint.columns)
@@ -282,31 +270,29 @@ def _orphan_foreign_key(
         clone = dict(base)
         for offset, column in enumerate(constraint.columns):
             clone[column] = fresh_value(
-                schema, rule.relation, column, dataset, offset
+                schema, rule.relation, column, known, offset
             )
         for offset, column in enumerate(others, start=len(constraint.columns)):
             clone[column] = fresh_value(
-                schema, rule.relation, column, dataset, offset
+                schema, rule.relation, column, known, offset
             )
-        mutated = _cow_copy(dataset)
-        mutated[rule.relation].append(clone)
-        yield mutated, (
+        yield Delta(rule.relation, row=clone), (
             f"inserted {rule.relation} row with unmatched "
             f"({', '.join(constraint.columns)})"
         )
         # (b) redirect an existing row's FK to a fresh target.
-        mutated = _cow_copy(dataset)
+        row = dict(base)
         for offset, column in enumerate(constraint.columns):
-            mutated[rule.relation][index][column] = fresh_value(
-                schema, rule.relation, column, dataset, offset
+            row[column] = fresh_value(
+                schema, rule.relation, column, known, offset
             )
-        yield mutated, (
+        yield Delta(rule.relation, index, row), (
             f"redirected {rule.relation}[{index}] "
             f"({', '.join(constraint.columns)}) to a fresh target"
         )
 
 
-def _check_breach(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
+def _check_breach(schema, rule, dataset, known, rng) -> Iterator[tuple[Delta, str]]:
     predicate = rule.constraint.predicate
     rows = dataset.get(rule.relation, [])
     for index in _row_order(rows, rng):
@@ -314,38 +300,34 @@ def _check_breach(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
         for column in sorted(predicate.columns()):
             for value in (
                 None,
-                fresh_value(schema, rule.relation, column, dataset, 0),
+                fresh_value(schema, rule.relation, column, known, 0),
             ):
                 candidate = dict(base)
                 candidate[column] = value
                 if predicate.evaluate(candidate):
                     continue  # still satisfied — not a breach
-                mutated = _cow_copy(dataset)
-                mutated[rule.relation][index] = candidate
-                yield mutated, (
+                yield Delta(rule.relation, index, candidate), (
                     f"set {rule.relation}[{index}].{column} to "
                     f"{value!r}, falsifying the CHECK"
                 )
 
 
 def _spec_mutations(
-    schema, spec: SelectSpec, dataset, rng
-) -> Iterator[tuple[Dataset, str]]:
-    """Datasets where ``spec``'s tuple set gains a fresh member."""
+    schema, spec: SelectSpec, dataset, known, rng
+) -> Iterator[tuple[Delta, str]]:
+    """Deltas by which ``spec``'s tuple set gains a fresh member."""
     rows = dataset.get(spec.relation, [])
     for index in _row_order(rows, rng):
         base = rows[index]
         candidate = dict(base)
         for offset, column in enumerate(spec.columns):
             candidate[column] = fresh_value(
-                schema, spec.relation, column, dataset, offset
+                schema, spec.relation, column, known, offset
             )
         if spec.where is not None and not spec.where.evaluate(candidate):
             continue
         # (a) in-place: the row now projects to a fresh tuple.
-        mutated = _cow_copy(dataset)
-        mutated[spec.relation][index] = candidate
-        yield mutated, (
+        yield Delta(spec.relation, index, candidate), (
             f"rewrote {spec.relation}[{index}] "
             f"({', '.join(spec.columns)}) to a fresh tuple"
         )
@@ -356,31 +338,29 @@ def _spec_mutations(
             start=len(spec.columns),
         ):
             clone[column] = fresh_value(
-                schema, spec.relation, column, dataset, offset
+                schema, spec.relation, column, known, offset
             )
-        mutated = _cow_copy(dataset)
-        mutated[spec.relation].append(clone)
-        yield mutated, (
+        yield Delta(spec.relation, row=clone), (
             f"inserted a {spec.relation} row projecting to a fresh "
             f"({', '.join(spec.columns)}) tuple"
         )
 
 
 def _equality_asymmetry(
-    schema, rule, dataset, rng
-) -> Iterator[tuple[Dataset, str]]:
+    schema, rule, dataset, known, rng
+) -> Iterator[tuple[Delta, str]]:
     constraint = rule.constraint
     for spec, side in ((constraint.right, "right"), (constraint.left, "left")):
-        for mutated, description in _spec_mutations(
-            schema, spec, dataset, rng
+        for delta, description in _spec_mutations(
+            schema, spec, dataset, known, rng
         ):
-            yield mutated, f"[{side} side] {description}"
+            yield delta, f"[{side} side] {description}"
 
 
-def _subset_leak(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
+def _subset_leak(schema, rule, dataset, known, rng) -> Iterator[tuple[Delta, str]]:
     constraint = rule.constraint
     # (a/b) the subset side gains a tuple the superset lacks.
-    yield from _spec_mutations(schema, constraint.subset, dataset, rng)
+    yield from _spec_mutations(schema, constraint.subset, dataset, known, rng)
     # (c) a superset witness disappears, stranding a subset tuple.
     spec = constraint.superset
     rows = dataset.get(spec.relation, [])
@@ -388,9 +368,7 @@ def _subset_leak(schema, rule, dataset, rng) -> Iterator[tuple[Dataset, str]]:
         row = rows[index]
         if spec.where is not None and not spec.where.evaluate(row):
             continue
-        mutated = _cow_copy(dataset)
-        del mutated[spec.relation][index]
-        yield mutated, (
+        yield Delta(spec.relation, index), (
             f"deleted superset witness {spec.relation}[{index}]"
         )
 
@@ -406,64 +384,48 @@ MUTATORS: dict[str, Callable] = {
 
 
 def default_verifier(
-    schema: RelationalSchema, rules: tuple[CompiledRule, ...]
-) -> Callable[[Dataset], set[str]]:
-    """An incremental full-rule checker on the in-memory backend.
+    schema: RelationalSchema,
+    rules: tuple[CompiledRule, ...],
+    baseline: Dataset,
+) -> Callable[[Delta], set[str]]:
+    """A full-rule checker of one-row deltas against ``baseline``.
 
-    Copy-on-write candidates (:class:`_CowDataset`) are checked
-    against a *cached* load of their clean base: the baseline
-    database (and its violation set) is built once per base dataset,
-    and each candidate forks it by sharing the untouched tables and
-    re-loading only the touched ones.  On the fork, only rules whose
-    dependency relations (:attr:`CompiledRule.relations`) intersect
-    the candidate's touched set are re-run — a rule reading only
-    shared tables must return its baseline verdict, which is carried
-    over instead of recomputed.  ``--inject`` planning therefore runs
-    a handful of rules per candidate instead of the full rule set.
+    The clean database and its violation set are built once, on the
+    in-memory reference backend; ``baseline``'s rows are shared, not
+    copied, since checking never writes them.  Each delta is checked
+    on a fork that shares every table and splices the delta's row
+    (normalized as :meth:`Database.insert` would) into a copy of its
+    relation's row list.  Only the rules whose dependency relations
+    (:attr:`CompiledRule.relations`) include that relation are
+    re-run, over the whole mutated relation; every other rule sees
+    exactly the clean rows, so its baseline verdict carries over.
     """
     from repro.engine.database import Database
     from repro.executor.backends import MemoryBackend
 
-    baselines: dict[int, tuple[Database, set[str]]] = {}
+    clean = Database(schema)
+    for relation, rows in baseline.items():
+        clean.load_rows(relation, rows)
+    backend = MemoryBackend()
+    backend.database = clean
+    base_violations = {violation.rule for violation in backend.check(rules)}
+    backend.database = fork = Database(schema)
 
-    def verify(dataset: Dataset) -> set[str]:
-        backend = MemoryBackend()
-        base = dataset.base if isinstance(dataset, _CowDataset) else None
-        if base is None:
-            backend.load_schema(schema)
-            for relation, rows in dataset.items():
-                backend.insert_rows(relation, rows)
-            return {violation.rule for violation in backend.check(rules)}
-        key = id(base)
-        cached = baselines.get(key)
-        if cached is None:
-            baseline = Database(schema)
-            for relation, rows in base.items():
-                baseline.insert_many(relation, rows)
-            backend.database = baseline
-            base_violations = {
-                violation.rule for violation in backend.check(rules)
-            }
-            baselines[key] = (baseline, base_violations)
-        else:
-            baseline, base_violations = cached
-        touched = dataset.touched
-        affected = tuple(r for r in rules if r.relations & touched)
-        fork = Database(schema)
-        for name in list(fork._tables):
-            if name in touched:
-                fork.insert_many(name, dataset[name])
-            else:
-                # Shared by reference: checking never mutates rows.
-                fork._tables[name] = baseline._tables[name]
-        backend.database = fork
-        fired = {violation.rule for violation in backend.check(affected)}
+    def verify(delta: Delta) -> set[str]:
+        relation = delta.relation
+        affected = tuple(r for r in rules if relation in r.relations)
         carried = {
-            rule.name
-            for rule in rules
-            if rule.name in base_violations
-            and not (rule.relations & touched)
+            r.name
+            for r in rules
+            if r.name in base_violations and relation not in r.relations
         }
+        if delta.row is not None:
+            delta = replace(delta, row=clean.normalize(relation, delta.row))
+        fork._tables = {
+            **clean._tables,
+            relation: delta.splice(clean._tables[relation]),
+        }
+        fired = {violation.rule for violation in backend.check(affected)}
         return fired | carried
 
     return verify
@@ -475,47 +437,39 @@ def plan_injections(
     dataset: Dataset,
     *,
     seed: int = 7,
-    verify: Callable[[Dataset], set[str]] | None = None,
-    kinds: tuple[str, ...] | None = None,
 ) -> list[Injection]:
     """One surgical injection per mutator kind, where plannable.
 
     For each kind, candidate rules are visited in name order and
-    candidate mutations in seeded order; the first mutated dataset
-    whose verified violation set is exactly ``{rule}`` is accepted.
-    Kinds whose rules admit no surgical site (or that have no rules
-    in this schema) are skipped — the harness reports them.
+    candidate deltas in seeded order; the first delta whose verified
+    violation set is exactly ``{rule}`` is accepted.  Kinds whose
+    rules admit no surgical site (or that have no rules in this
+    schema) are skipped — the harness reports them.
     """
-    if verify is None:
-        verify = default_verifier(schema, rules)
-    injections: list[Injection] = []
-    for kind in kinds or tuple(MUTATOR_KINDS):
-        targets = sorted(
-            (r for r in rules if r.kind in MUTATOR_KINDS[kind]),
-            key=lambda r: r.name,
-        )
-        accepted = None
-        for rule in targets:
-            rng = random.Random((seed, kind, rule.name).__repr__())
-            candidates = MUTATORS[kind](schema, rule, dataset, rng)
-            for _ in range(MAX_CANDIDATES):
-                pair = next(candidates, None)
-                if pair is None:
+    with _obs_span("robustness.plan_injections", rules=len(rules)):
+        verify = default_verifier(schema, rules, dataset)
+        known = known_values(dataset)
+        verified = 0
+        injections: list[Injection] = []
+        for kind in MUTATOR_KINDS:
+            targets = sorted(
+                (r for r in rules if r.kind in MUTATOR_KINDS[kind]),
+                key=lambda r: r.name,
+            )
+            accepted = None
+            for rule in targets:
+                rng = random.Random((seed, kind, rule.name).__repr__())
+                candidates = MUTATORS[kind](schema, rule, dataset, known, rng)
+                for delta, description in islice(candidates, MAX_CANDIDATES):
+                    verified += 1
+                    if verify(delta) == {rule.name}:
+                        accepted = Injection(
+                            kind, rule.name, rule.kind, rule.relation,
+                            description, delta, dataset,
+                        )
+                        break
+                if accepted is not None:
+                    injections.append(accepted)
                     break
-                mutated, description = pair
-                if verify(mutated) == {rule.name}:
-                    touched = (
-                        frozenset(mutated.touched)
-                        if isinstance(mutated, _CowDataset)
-                        else frozenset()
-                    )
-                    accepted = Injection(
-                        kind, rule.name, rule.kind, rule.relation,
-                        description, mutated, touched,
-                    )
-                    break
-            if accepted is not None:
-                break
-        if accepted is not None:
-            injections.append(accepted)
-    return injections
+        _obs_count("robustness.candidates_verified", verified)
+        return injections

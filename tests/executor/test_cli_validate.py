@@ -130,6 +130,21 @@ class TestReportOutput:
         assert code == EXIT_OK
         assert "executor.validate" in trace.read_text()
 
+    def test_trace_records_the_injection_phase(self, schema_file, tmp_path):
+        spans, chrome = tmp_path / "spans.json", tmp_path / "chrome.json"
+        for trace, trace_format in ((spans, "spans"), (chrome, "chrome")):
+            code, _ = run(
+                ["validate", str(schema_file), "--backend", "sqlite",
+                 "--scale", "100", "--trace", str(trace),
+                 "--trace-format", trace_format]
+            )
+            assert code == EXIT_OK
+        assert '"robustness.plan_injections"' in spans.read_text()
+        counters = json.loads(chrome.read_text())["otherData"]["metrics"][
+            "counters"
+        ]
+        assert counters["robustness.candidates_verified"] > 0
+
     def test_mapping_options_are_honoured(self, schema_file):
         _, output = run(
             ["validate", str(schema_file), "--backend", "memory",

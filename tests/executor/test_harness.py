@@ -147,6 +147,17 @@ class TestReport:
         assert "result: OK" in text
         assert "detection matrix" in text
 
+    def test_injection_phase_is_timed(self, fig6):
+        report = run_validation(fig6, backend="sqlite", scale=100, seed=7)
+        assert report.plan_s > 0 and report.matrix_s > 0
+        timings = report.as_dict()["timings"]
+        assert timings["plan_s"] > 0 and timings["matrix_s"] > 0
+        assert "planned in" in report.render()
+        skipped = run_validation(
+            fig6, backend="sqlite", scale=100, seed=7, inject=False
+        )
+        assert skipped.plan_s == skipped.matrix_s == 0.0
+
     def test_invalid_state_is_reported(self, fig6):
         report = run_validation(fig6, backend="memory", scale=100, seed=7)
         broken = ValidationReport(

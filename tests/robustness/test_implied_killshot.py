@@ -27,6 +27,7 @@ from repro.robustness.violations import (
     MUTATOR_KINDS,
     MUTATORS,
     default_verifier,
+    known_values,
 )
 from repro.workloads import generate_bulk_population
 
@@ -84,6 +85,7 @@ def test_no_surgical_violation_of_any_implied_rule():
             result.state.to_canonical(population)
         )
         dataset = dataset_of(result.state_map.forward(canonical))
+        known = known_values(dataset)
         for verdict in implications.implied:
             implied_rules = relational_rules_for(
                 result, verdict.subject
@@ -98,7 +100,7 @@ def test_no_surgical_violation_of_any_implied_rule():
                 by_name[name]
                 for name in sorted(implied_rules | premise_rules)
             )
-            verify = default_verifier(result.relational, subset)
+            verify = default_verifier(result.relational, subset, dataset)
             for rule_name in sorted(implied_rules):
                 rule = by_name[rule_name]
                 kinds = [
@@ -111,12 +113,12 @@ def test_no_surgical_violation_of_any_implied_rule():
                         (SEED, kind, rule.name).__repr__()
                     )
                     candidates = MUTATORS[kind](
-                        result.relational, rule, dataset, rng
+                        result.relational, rule, dataset, known, rng
                     )
-                    for mutated, description in itertools.islice(
+                    for delta, description in itertools.islice(
                         candidates, MAX_CANDIDATES
                     ):
-                        violated = verify(mutated)
+                        violated = verify(delta)
                         if rule.name not in violated:
                             continue
                         exercised += 1
