@@ -13,9 +13,10 @@ same gate covers every benchmark that records one:
 Raw wall times are not comparable across differently-powered
 machines, so both runs carry a ``calibration_s`` figure (a fixed
 pure-Python workload timed in the same process) and the gate compares
-the *calibrated* ratio ``wall / calibration``.  When either file or
-either figure is missing the gate skips (exit 0) — a missing baseline
-is the bootstrap case, not a failure.
+the *calibrated* ratio ``wall / calibration``.  A gate that cannot
+compare fails (exit 1): a missing or unreadable file, or a named
+wall-time key (or its block's ``calibration_s``) absent from either
+run.  Commit the baseline before gating on it.
 
 Usage:
     python scripts/check_bench_regression.py \
@@ -35,32 +36,40 @@ DEFAULT_WALL_KEY = "guarded_map_schema_wall_s"
 CALIBRATION_KEY = "calibration_s"
 
 
-def _load_metrics(path: Path, wall_key: str) -> dict | None:
-    if not path.exists():
-        return None
+def _load_blocks(path: Path) -> list[dict] | None:
+    """The data blocks of a benchmark record, or None when the file is
+    missing or unreadable."""
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        return [block.get("data", {}) for block in payload.get("blocks", ())]
+    except (OSError, ValueError, AttributeError):
         return None
-    for block in payload.get("blocks", ()):
-        data = block.get("data", {})
+
+
+def _metrics(blocks: list[dict], wall_key: str) -> dict | None:
+    for data in blocks:
         if wall_key in data and CALIBRATION_KEY in data:
             return data
     return None
 
 
 def _gate_key(
-    baseline_path: Path, current_path: Path, wall_key: str, threshold: float
+    baseline_blocks: list[dict],
+    current_blocks: list[dict],
+    wall_key: str,
+    threshold: float,
 ) -> bool:
-    """Gate one wall-time key; returns False on regression."""
-    baseline = _load_metrics(baseline_path, wall_key)
-    current = _load_metrics(current_path, wall_key)
-    if baseline is None:
-        print(f"[{wall_key}] no usable baseline at {baseline_path}; skipping")
-        return True
-    if current is None:
-        print(f"[{wall_key}] no usable current run at {current_path}; skipping")
-        return True
+    """Gate one wall-time key; returns False on regression, or when
+    either run lacks the key or its calibration."""
+    baseline = _metrics(baseline_blocks, wall_key)
+    current = _metrics(current_blocks, wall_key)
+    for side, metrics in (("baseline", baseline), ("current run", current)):
+        if metrics is None:
+            print(
+                f"FAIL: the {side} has no block with both {wall_key} "
+                f"and {CALIBRATION_KEY}"
+            )
+            return False
 
     baseline_score = baseline[wall_key] / baseline[CALIBRATION_KEY]
     current_score = current[wall_key] / current[CALIBRATION_KEY]
@@ -108,11 +117,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     wall_keys = args.wall_keys or [DEFAULT_WALL_KEY]
+    baseline = _load_blocks(args.baseline)
+    current = _load_blocks(args.current)
+    for path, blocks in ((args.baseline, baseline), (args.current, current)):
+        if blocks is None:
+            print(f"FAIL: no readable benchmark record at {path}")
+            return 1
     ok = all(
         # Evaluate every key even after a failure so the log shows the
         # full picture, not just the first regression.
         [
-            _gate_key(args.baseline, args.current, key, args.threshold)
+            _gate_key(baseline, current, key, args.threshold)
             for key in wall_keys
         ]
     )

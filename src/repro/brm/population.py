@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.brm.constraints import (
@@ -116,6 +116,13 @@ class Population:
         """The value behind an id (``None`` passes through)."""
         return None if interned is None else self._values[interned]
 
+    def values_of(self, ids: Sequence[int | None]) -> list[Instance | None]:
+        """The value column behind an id column (``None`` passes through)."""
+        values = self._values
+        if None in ids:
+            return [None if i is None else values[i] for i in ids]
+        return list(map(values.__getitem__, ids))
+
     def id_of(self, value: Instance) -> int | None:
         """The id of a value, or ``None`` when never interned."""
         return self._intern.get(value)
@@ -190,12 +197,7 @@ class Population:
         if not new:
             return
         self._version += 1
-        version = self._version
-        self._objects[type_name].update(new)
-        self._type_versions[type_name] = version
-        for ancestor in self.schema.ancestors_of(type_name):
-            self._objects[ancestor].update(new)
-            self._type_versions[ancestor] = version
+        self._grow(type_name, new)
 
     def add_fact(
         self, fact_name: str, first: Instance, second: Instance
@@ -277,18 +279,22 @@ class Population:
         seconds: set[int],
     ) -> None:
         self._version += 1
-        version = self._version
         fact = self.schema.fact_type(fact_name)
-        for type_name, new in (
-            (fact.first.player, firsts),
-            (fact.second.player, seconds),
-        ):
-            self._objects[type_name].update(new)
-            self._type_versions[type_name] = version
-            for ancestor in self.schema.ancestors_of(type_name):
-                self._objects[ancestor].update(new)
-                self._type_versions[ancestor] = version
+        self._grow(fact.first.player, firsts)
+        self._grow(fact.second.player, seconds)
         self._pairs[fact_name].update(id_pairs)
+
+    def _grow(self, type_name: str, new: set[int]) -> None:
+        """Add ids to a type and its supertypes.  Only a set that grew
+        gets a new per-type version (sets only grow here, so the same
+        size is the same set): the others keep their :meth:`ordered_ids`."""
+        version = self._version
+        for name in (type_name, *self.schema.ancestors_of(type_name)):
+            members = self._objects[name]
+            size = len(members)
+            members.update(new)
+            if len(members) != size:
+                self._type_versions[name] = version
 
     def remove_fact(self, fact_name: str, first: Instance, second: Instance) -> None:
         """Remove one fact instance (object populations untouched)."""
@@ -339,7 +345,7 @@ class Population:
         """Instance ids sorted by ``repr`` of their values.
 
         Cached against the *per-type* version: only mutations that
-        touch this type (or its propagation closure) re-sort.
+        change this type's id set re-sort.
         """
         if type_name not in self._objects:
             raise PopulationError(f"no object type {type_name!r} in the schema")
@@ -357,8 +363,7 @@ class Population:
     def sorted_instances(self, type_name: str) -> list[Instance]:
         """The population of an object type as values, in
         :meth:`ordered_ids` order (sorted by ``repr``)."""
-        values = self._values
-        return [values[i] for i in self.ordered_ids(type_name)]
+        return self.values_of(self.ordered_ids(type_name))
 
     def sort_ids(self, ids: Iterable[int]) -> list[int]:
         """Ids sorted by the ``repr`` of their values — the row order
@@ -386,10 +391,10 @@ class Population:
                 self.pair_ids(fact_name),
                 key=lambda pair: repr((values[pair[0]], values[pair[1]])),
             )
-            if ordered:
-                firsts, seconds = zip(*ordered)
-            else:
-                firsts, seconds = (), ()
+            # Two itemgetter passes, not ``zip(*ordered)``: that would
+            # allocate one (GC-tracked) iterator per pair.
+            firsts = tuple(map(operator.itemgetter(0), ordered))
+            seconds = tuple(map(operator.itemgetter(1), ordered))
             cached = (self._version, (firsts, seconds))
             self._columns_cache[fact_name] = cached
         return cached[1]

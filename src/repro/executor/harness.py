@@ -523,6 +523,11 @@ class ValidationReport:
     #: the detection matrix's replay.  Zero without ``inject``.
     plan_s: float = 0.0
     matrix_s: float = 0.0
+    #: The conceptual phases before the load: generating the valid
+    #: state, canonicalizing it, and mapping it forward to rows.
+    generate_s: float = 0.0
+    canonicalize_s: float = 0.0
+    forward_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -572,6 +577,9 @@ class ValidationReport:
                 ),
                 "plan_s": round(self.plan_s, 6),
                 "matrix_s": round(self.matrix_s, 6),
+                "generate_s": round(self.generate_s, 6),
+                "canonicalize_s": round(self.canonicalize_s, 6),
+                "forward_s": round(self.forward_s, 6),
                 "check_workers": self.check_workers,
             },
         }
@@ -587,6 +595,11 @@ class ValidationReport:
         ]
         if self.backend_note:
             lines.append(f"  note: {self.backend_note}")
+        lines.append(
+            f"  generated in {self.generate_s:.3f} s, "
+            f"canonicalized in {self.canonicalize_s:.3f} s, "
+            f"mapped forward in {self.forward_s:.3f} s"
+        )
         lines.append(
             f"  loaded {self.rows_loaded} rows "
             f"({self._rate(self.load_s):,.0f} rows/s), "
@@ -669,12 +682,14 @@ def run_validation(
         rules = compile_rules(
             result.relational, prune_implied=prune_implied, mapping=result
         )
-        population = generate_bulk_population(
-            schema, target_rows=scale, seed=seed
+        canonical, generate_s, canonicalize_s = _canonical_state(
+            schema, result, scale=scale, seed=seed
         )
-        canonical = result.canonicalize(result.state.to_canonical(population))
-        database = result.state_map.forward(canonical)
-        dataset = dataset_of(database)
+        started = perf_counter()
+        with _obs_span("mapper.forward", schema=schema.name):
+            database = result.state_map.forward(canonical)
+            dataset = dataset_of(database)
+        forward_s = perf_counter() - started
         if resolved is None:
             resolved = resolve_backend(backend)
         runner = resolved.backend
@@ -749,7 +764,25 @@ def run_validation(
             pruned_rules=pruned,
             plan_s=plan_s,
             matrix_s=matrix_s,
+            generate_s=generate_s,
+            canonicalize_s=canonicalize_s,
+            forward_s=forward_s,
         )
+
+
+def _canonical_state(
+    schema: BinarySchema, result, *, scale: int, seed: int
+) -> tuple[Population, float, float]:
+    """Generate a valid state and canonicalize it, timing both.  The
+    generated population is freed on return, before the forward map,
+    the load and the round trip, instead of living until the report."""
+    started = perf_counter()
+    population = generate_bulk_population(schema, target_rows=scale, seed=seed)
+    generate_s = perf_counter() - started
+    started = perf_counter()
+    with _obs_span("mapper.canonicalize", schema=schema.name):
+        canonical = result.canonicalize(result.state.to_canonical(population))
+    return canonical, generate_s, perf_counter() - started
 
 
 def _round_trip(

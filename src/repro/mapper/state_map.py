@@ -32,7 +32,9 @@ lexical reference values (:func:`canonicalize_population`).
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Collection, Hashable, Sequence
+from itertools import filterfalse
+from operator import itemgetter
 
 from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
@@ -52,29 +54,6 @@ from repro.mapper.synthesis import MappingPlan, PairLeaf
 from repro.relational.schema import RelationalSchema
 
 Instance = Hashable
-
-
-def _canon(values: tuple[Instance, ...]) -> Instance:
-    """The canonical instance named by a tuple of lexical values."""
-    if len(values) == 1:
-        return values[0]
-    return values
-
-
-def _leg_maps(population: Population, path: tuple) -> list[dict[int, int]]:
-    """One first-co-filler map per component of a lexical leg.
-
-    Following the leg from an instance id is then a chain of dict
-    lookups (with ``None`` propagation), built once per leg instead of
-    probing ``facts_of`` and sorting fillers per instance.
-    """
-    schema = population.schema
-    maps = []
-    for component in path:
-        fact = schema.fact_type(component.fact)
-        position = fact.position_of(component.near_role)
-        maps.append(population.first_co(fact.name, position))
-    return maps
 
 
 def _complete_rows(
@@ -99,14 +78,19 @@ def _complete_rows(
 
 
 def _follow_ids(
-    population: Population, ids: list[int | None], path: tuple
-) -> list[int | None]:
-    """Follow a lexical leg for a whole id column at once."""
-    current = ids
-    for mapping in _leg_maps(population, path):
-        get = mapping.get
-        current = [None if i is None else get(i) for i in current]
-    return current
+    population: Population, ids: Sequence[int | None], path: tuple
+) -> Sequence[int | None]:
+    """Follow a lexical leg for a whole id column at once: one pass per
+    component through its fact's :meth:`Population.first_co` map
+    (``None`` propagates, since the maps have int keys)."""
+    schema = population.schema
+    for component in path:
+        fact = schema.fact_type(component.fact)
+        first = population.first_co(
+            fact.name, fact.position_of(component.near_role)
+        )
+        ids = list(map(first.get, ids))
+    return ids
 
 
 class RelationalStateMap:
@@ -169,9 +153,7 @@ class RelationalStateMap:
             width = len(sides[0])
             id_columns = [
                 _follow_ids(
-                    population,
-                    list(sides[unit.source.side]),
-                    unit.source.leaf.path,
+                    population, sides[unit.source.side], unit.source.leaf.path
                 )
                 if isinstance(unit.source, PairLeaf)
                 else [None] * width
@@ -202,31 +184,23 @@ class RelationalStateMap:
                 else len(ids)
             )
             return [{} for _ in range(count)]
-        value = population.value
         names = [unit.name for unit in relation_plan.columns]
-        return [
-            dict(zip(names, (value(i) for i in id_row)))
-            for id_row in zip(*id_columns)
-        ]
+        value_columns = [population.values_of(column) for column in id_columns]
+        return [dict(zip(names, row)) for row in zip(*value_columns)]
 
     def _unit_ids(
         self,
         population: Population,
         source,
         ids: list[int],
-    ) -> list[int | None]:
+    ) -> Sequence[int | None]:
         """One column of instance-relation ids, whole-column at once."""
         if isinstance(source, SelfLeaf):
-            return _follow_ids(population, list(ids), source.leaf.path)
+            return _follow_ids(population, ids, source.leaf.path)
         if isinstance(source, (FactLeaf, DisjunctLeaf)):
-            fact = self.plan.schema.fact_type(source.fact)
-            first = population.first_co(
-                fact.name, fact.position_of(source.near_role)
-            )
-            get = first.get
-            return _follow_ids(
-                population, [get(i) for i in ids], source.leaf.path
-            )
+            # The owner's fact is one more leg component (it names a
+            # ``fact`` and a ``near_role`` too).
+            return _follow_ids(population, ids, (source, *source.leaf.path))
         assert isinstance(source, SublinkLeaf)
         members = population.instance_ids(source.subtype)
         return _follow_ids(
@@ -668,101 +642,80 @@ def canonicalize_population(
     the backwards mapping reconstructs.  LOT and LOT-NOLOT instances
     are their own names already.
 
-    Batch formulation: per root type the reference legs are resolved
-    once into chains of first-co-filler maps over interned ids
-    (:func:`_leg_maps`), so renaming an instance is a handful of dict
-    lookups instead of per-instance ``facts_of`` probes and filler
-    sorts.
+    Id-space formulation: one old-id -> new-id table per root.  Each
+    object type's id column, in schema order, and then each fact's two
+    id columns are translated through their root's table; ids not in
+    it yet are named in whole-column passes (:func:`_name_column`) and
+    interned in column order.  The per-instance renaming this replaced
+    is kept as a test oracle (``tests/oracles/mapper.py``).
     """
     schema = plan.schema
-    value = population.value
-
-    # root -> ("disjunct", [first_co map per scheme fact]) or
-    #         ("legs", [leg map chain per reference leaf])
-    resolvers: dict[str, tuple[str, list]] = {}
-
-    def resolver_for(root: str) -> tuple[str, list]:
-        resolver = resolvers.get(root)
-        if resolver is not None:
-            return resolver
-        if root in plan.disjunctive:
-            scheme = plan.disjunctive[root]
-            maps = []
-            for fact_name in scheme.facts:
-                fact = schema.fact_type(fact_name)
-                near = (
-                    fact.first if fact.first.player == root else fact.second
-                )
-                maps.append(
-                    population.first_co(fact_name, fact.position_of(near.name))
-                )
-            resolver = ("disjunct", maps)
-        else:
-            resolver = (
-                "legs",
-                [
-                    _leg_maps(population, leaf.path)
-                    for leaf in plan.resolver.leaves(root)
-                ],
-            )
-        resolvers[root] = resolver
-        return resolver
-
-    roots: dict[str, str | None] = {}  # type -> root (None when lexical)
-    renames: dict[tuple[str, int], Instance] = {}
-
-    def rename(type_name: str, interned: int) -> Instance:
-        root = roots.get(type_name, "")
-        if root == "":
-            object_type = schema.object_type(type_name)
-            root = (
-                min(schema.root_supertypes_of(type_name))
-                if object_type.is_nolot
-                else None
-            )
-            roots[type_name] = root
-        if root is None:
-            return value(interned)
-        key = (root, interned)
-        renamed = renames.get(key)
-        if renamed is not None:
-            return renamed
-        kind, legs = resolver_for(root)
-        if kind == "disjunct":
-            renamed = tuple(value(m.get(interned)) for m in legs)
-        else:
-            values = []
-            for maps in legs:
-                current: int | None = interned
-                for mapping in maps:
-                    current = mapping.get(current)
-                    if current is None:
-                        break
-                values.append(current)
-            if any(v is None for v in values):
-                raise MappingError(
-                    f"instance {value(interned)!r} of {type_name!r} has no "
-                    "complete reference; population is not a valid state"
-                )
-            renamed = _canon(tuple(value(v) for v in values))
-        renames[key] = renamed
-        return renamed
-
     canonical = Population(schema)
+    tables: dict[str, dict[int, int]] = {}  # root -> old id -> new id
+
+    def renamed(type_name: str, ids: Collection[int]) -> list[int]:
+        nolot = schema.object_type(type_name).is_nolot
+        root = min(schema.root_supertypes_of(type_name)) if nolot else type_name
+        table = tables.setdefault(root, {})
+        missing = list(filterfalse(table.__contains__, ids))
+        if missing:
+            names = (
+                _name_column(plan, population, root, type_name, missing)
+                if nolot
+                else population.values_of(missing)
+            )
+            table.update(zip(missing, canonical.intern_all(names)))
+        return list(map(table.__getitem__, ids))
+
     for object_type in schema.object_types:
         name = object_type.name
-        canonical.add_instances(
-            name,
-            (rename(name, i) for i in population.instance_ids(name)),
-        )
+        ids = population.instance_ids(name)
+        canonical.add_instance_ids(name, set(renamed(name, ids)))
     for fact in schema.fact_types:
-        first_type = fact.first.player
-        second_type = fact.second.player
-        canonical.add_facts(
+        pairs = population.pair_ids(fact.name)
+        canonical.add_fact_id_columns(
             fact.name,
-            [
-                (rename(first_type, first), rename(second_type, second))
-                for first, second in population.pair_ids(fact.name)
-            ],
+            renamed(fact.first.player, list(map(itemgetter(0), pairs))),
+            renamed(fact.second.player, list(map(itemgetter(1), pairs))),
         )
     return canonical
+
+
+def _name_column(
+    plan: MappingPlan,
+    population: Population,
+    root: str,
+    type_name: str,
+    ids: list[int],
+) -> list[Instance]:
+    """The names of ``type_name`` instances under ``root``'s reference.
+
+    A disjunctive root's name is the tuple of its first co-fillers,
+    one per scheme fact (``None`` where there is none).  Otherwise each
+    reference leaf's legs are followed as whole-column dict passes
+    (:func:`_follow_ids`); one leaf names by scalar, several by tuple,
+    none by ``()``.
+    """
+    schema = plan.schema
+    if root in plan.disjunctive:
+        columns = []
+        for fact_name in plan.disjunctive[root].facts:
+            fact = schema.fact_type(fact_name)
+            near = fact.first if fact.first.player == root else fact.second
+            first = population.first_co(fact_name, fact.position_of(near.name))
+            columns.append(population.values_of(list(map(first.get, ids))))
+        return list(zip(*columns)) or [()] * len(ids)
+    columns = [
+        _follow_ids(population, ids, leaf.path)
+        for leaf in plan.resolver.leaves(root)
+    ]
+    broken = [column.index(None) for column in columns if None in column]
+    if broken:
+        raise MappingError(
+            f"instance {population.value(ids[min(broken)])!r} of "
+            f"{type_name!r} has no complete reference; population is not "
+            "a valid state"
+        )
+    if len(columns) == 1:
+        return population.values_of(columns[0])
+    return list(zip(*map(population.values_of, columns))) or [()] * len(ids)

@@ -135,7 +135,7 @@ def _generate(
         (t for t in schema.object_types if t.is_nolot),
         key=lambda t: len(schema.ancestors_of(t.name)),
     )
-    claimed: dict[str, set] = {}  # sublink -> claimed instances
+    claimed: dict[str, set[int]] = {}  # sublink -> claimed instance ids
     for object_type in ordered:
         name = object_type.name
         if not schema.supertypes_of(name):
@@ -146,11 +146,11 @@ def _generate(
             )
             continue
         for sublink in schema.sublinks_from(name):
-            supers = population.sorted_instances(sublink.supertype)
+            supers = population.ordered_ids(sublink.supertype)
             # One draw per candidate, batched; instances claimed by a
             # mutually-exclusive sibling sublink are blocked wholesale.
             draws = [rng.random() for _ in supers]
-            blocked: set = set()
+            blocked: set[int] = set()
             for other, taken in claimed.items():
                 if frozenset((sublink.name, other)) in excluded_sublinks:
                     blocked |= taken
@@ -160,7 +160,7 @@ def _generate(
                 if draw < 0.5 and instance not in blocked
             }
             claimed[sublink.name] = members
-            population.add_instances(name, members)
+            population.add_instance_ids(name, members)
 
     # 2. Functional facts, in three stages so the role subset/equality
     #    constraints between optional roles hold by construction:
@@ -169,7 +169,7 @@ def _generate(
     #    (b) close the plan over role subset/equality constraints,
     #    (c) materialize fillers (unique far roles get distinct values).
     near_of: dict[str, RoleId] = {}
-    chosen: dict[RoleId, set] = {}
+    chosen: dict[RoleId, set[int]] = {}
     for fact in schema.fact_types:
         first_id, second_id = fact.role_ids
         near_id = None
@@ -184,7 +184,7 @@ def _generate(
         near_of[fact.name] = near_id
         chosen[near_id] = {
             instance
-            for instance in population.sorted_instances(near_role.player)
+            for instance in population.ordered_ids(near_role.player)
             if total or rng.random() <= optional_fill
         }
 
@@ -223,53 +223,58 @@ def _generate(
         picked = [
             (index, instance)
             for index, instance in enumerate(
-                population.sorted_instances(near_role.player)
+                population.ordered_ids(near_role.player)
             )
             if instance in members
         ]
         if not picked:
             continue
-        # The whole filler column is built before a single pair lands
-        # in the population, then added with one ``add_facts`` call —
-        # filler auto-adds and ancestor propagation run once per fact
-        # type instead of once per row.
+        # The whole filler id column (new values interned in filler
+        # order) is built before a single pair lands in the population,
+        # then added with one call — filler auto-adds and ancestor
+        # propagation run once per fact type instead of once per row.
         if far_unique:
             # Distinct per instance; a value-constrained far type
             # spends its allowed values first.
             spend_pool = schema.value_constraint_on(far_role.player) is not None
             tag = fact.name.lower()
-            fillers = [
+            fillers = population.intern_all(
                 pool[index]
                 if spend_pool and index < len(pool)
                 else _typed_filler(far_player.datatype, tag, index)
                 for index, _ in picked
-            ]
+            )
         elif far_player.is_nolot:
-            far_existing = population.sorted_instances(far_role.player)
+            far_existing = population.ordered_ids(far_role.player)
             fillers = (
                 rng.choices(far_existing, k=len(picked))
                 if far_existing
-                else [f"{fact.name}_x"] * len(picked)
+                else population.intern_all([f"{fact.name}_x"] * len(picked))
             )
         else:
-            fillers = rng.choices(pool, k=len(picked))
+            fillers = population.intern_all(rng.choices(pool, k=len(picked)))
         owners = [instance for _, instance in picked]
         if near_id == first_id:
-            population.add_facts(fact.name, zip(owners, fillers))
+            population.add_fact_id_columns(fact.name, owners, fillers)
         else:
-            population.add_facts(fact.name, zip(fillers, owners))
+            population.add_fact_id_columns(fact.name, fillers, owners)
 
     # 3. Many-to-many facts: a few random pairs per fact type.
     for fact in schema.fact_types:
         first_id, second_id = fact.role_ids
         if schema.is_unique(first_id) or schema.is_unique(second_id):
             continue
-        first_pool = population.sorted_instances(fact.first.player)
-        second_pool = population.sorted_instances(fact.second.player)
+        first_pool = population.ordered_ids(fact.first.player)
+        second_pool = population.ordered_ids(fact.second.player)
+        # An empty lexical side draws from its lexical pool, whose
+        # values are interned only as drawn, column by column.
+        first_ids = second_ids = list
         if schema.object_type(fact.first.player).is_lexical and not first_pool:
             first_pool = _lexical_pool(schema, fact.first.player)
+            first_ids = population.intern_all
         if schema.object_type(fact.second.player).is_lexical and not second_pool:
             second_pool = _lexical_pool(schema, fact.second.player)
+            second_ids = population.intern_all
         if not first_pool or not second_pool:
             continue  # an empty non-lexical side gets no pairs
         # Totality by construction: a total many-to-many role pairs
@@ -277,21 +282,21 @@ def _generate(
         # mapper turns such roles into C_SUB$ view constraints, which
         # the validation harness checks on a *valid* state).
         if schema.is_total(first_id):
-            population.add_facts(
+            population.add_fact_id_columns(
                 fact.name,
-                zip(first_pool,
-                    rng.choices(second_pool, k=len(first_pool))),
+                first_ids(first_pool),
+                second_ids(rng.choices(second_pool, k=len(first_pool))),
             )
         if schema.is_total(second_id):
-            population.add_facts(
+            population.add_fact_id_columns(
                 fact.name,
-                zip(rng.choices(first_pool, k=len(second_pool)),
-                    second_pool),
+                first_ids(rng.choices(first_pool, k=len(second_pool))),
+                second_ids(second_pool),
             )
-        population.add_facts(
+        population.add_fact_id_columns(
             fact.name,
-            zip(rng.choices(first_pool, k=instances_per_type),
-                rng.choices(second_pool, k=instances_per_type)),
+            first_ids(rng.choices(first_pool, k=instances_per_type)),
+            second_ids(rng.choices(second_pool, k=instances_per_type)),
         )
     return population
 

@@ -91,6 +91,27 @@ class TestAccess:
         pop.add_instance("Paper", "p")
         assert not pop.is_empty()
 
+    def test_values_of_passes_none_through(self, schema):
+        pop = Population(schema)
+        ids = pop.intern_all(["p1", "p2"])
+        assert pop.values_of(ids[::-1]) == ["p2", "p1"]
+        assert pop.values_of((ids[0], None)) == ["p1", None]
+
+    def test_ordered_ids_stay_cached_until_the_type_grows(self, schema):
+        pop = Population(schema)
+        pop.add_facts("scheduled", [("p2", 12), ("p1", 13)])
+        papers = pop.ordered_ids("Paper")
+        assert pop.values_of(papers) == ["p1", "p2"]
+        # Re-adding members of Paper (through its subtype) leaves its
+        # id set, and so its sorted ids, as they were.
+        pop.add_facts("scheduled", [("p1", 12)])
+        pop.add_instance("Program_Paper", "p2")
+        assert pop.ordered_ids("Paper") is papers
+        pop.add_facts("scheduled", [("p0", 12)])
+        grown = pop.ordered_ids("Paper")
+        assert grown is not papers
+        assert pop.values_of(grown) == ["p0", "p1", "p2"]
+
 
 class TestConstraintChecking:
     def _valid_pop(self, schema):

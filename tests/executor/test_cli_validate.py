@@ -130,6 +130,18 @@ class TestReportOutput:
         assert code == EXIT_OK
         assert "executor.validate" in trace.read_text()
 
+    def test_trace_records_the_conceptual_phases(self, schema_file, tmp_path):
+        trace = tmp_path / "trace.json"
+        code, _ = run(
+            ["validate", str(schema_file), "--backend", "memory",
+             "--scale", "100", "--no-inject", "--trace", str(trace)]
+        )
+        assert code == EXIT_OK
+        text = trace.read_text()
+        for span in ("workloads.generate_bulk_population",
+                     "mapper.canonicalize", "mapper.forward"):
+            assert f'"{span}"' in text
+
     def test_trace_records_the_injection_phase(self, schema_file, tmp_path):
         spans, chrome = tmp_path / "spans.json", tmp_path / "chrome.json"
         for trace, trace_format in ((spans, "spans"), (chrome, "chrome")):

@@ -7,16 +7,24 @@ matrix is *diagonal* — every surgical violation is caught by its
 target rule and by no other.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
+import repro.executor.harness as harness
 from repro.executor import (
     ValidationReport,
     resolve_backend,
     run_validation,
 )
-from repro.mapper import MappingOptions, NullPolicy, SublinkPolicy
+from repro.mapper import (
+    MappingOptions,
+    NullPolicy,
+    RelationalStateMap,
+    SublinkPolicy,
+)
 from repro.robustness.violations import MUTATOR_KINDS
 from tests.executor.conftest import requires_duckdb
 
@@ -157,6 +165,45 @@ class TestReport:
             fig6, backend="sqlite", scale=100, seed=7, inject=False
         )
         assert skipped.plan_s == skipped.matrix_s == 0.0
+
+    def test_conceptual_phases_are_timed(self, cris):
+        report = run_validation(
+            cris, backend="memory", scale=300, seed=7, inject=False
+        )
+        timings = report.as_dict()["timings"]
+        for key in ("generate_s", "canonicalize_s", "forward_s"):
+            assert getattr(report, key) > 0
+            assert timings[key] > 0
+        assert "canonicalized in" in report.render()
+
+    def test_generated_population_is_freed_before_the_forward_map(
+        self, cris, monkeypatch
+    ):
+        # Under the default options ``to_canonical`` hands back the
+        # generated population itself; only the canonical one may
+        # outlive canonicalization.
+        generated = []
+        generate = harness.generate_bulk_population
+        forward = RelationalStateMap.forward
+
+        def tracked_generate(*args, **kwargs):
+            population = generate(*args, **kwargs)
+            generated.append(weakref.ref(population))
+            return population
+
+        def checked_forward(self, population):
+            gc.collect()
+            assert generated and generated[0]() is None
+            return forward(self, population)
+
+        monkeypatch.setattr(
+            harness, "generate_bulk_population", tracked_generate
+        )
+        monkeypatch.setattr(RelationalStateMap, "forward", checked_forward)
+        report = run_validation(
+            cris, backend="memory", scale=300, seed=7, inject=False
+        )
+        assert report.ok
 
     def test_invalid_state_is_reported(self, fig6):
         report = run_validation(fig6, backend="memory", scale=100, seed=7)

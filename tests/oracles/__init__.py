@@ -4,9 +4,10 @@ Each oracle answers the same questions as a production path, the way
 that path answered them before it was indexed or made columnar: the
 linear-scan schema and relational-schema queries (``brm``,
 ``relational``), the row-at-a-time population (``brm.RowPopulation``),
-the row-at-a-time backward state map (``mapper.row_backward``), and
-the ``row.get`` reference checker and full-reload detection matrix
-(``executor``).
+the row-at-a-time backward state map (``mapper.row_backward``), the
+value-level canonicalizer and generator (``mapper.value_canonicalize``,
+``workloads.value_generate``), and the ``row.get`` reference checker
+and full-reload detection matrix (``executor``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

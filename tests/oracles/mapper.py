@@ -1,4 +1,4 @@
-"""Row-path oracle for the relational state map's backward direction.
+"""Value-level oracles for the relational state map.
 
 :func:`row_backward` keeps the row-at-a-time reconstruction that
 ``RelationalStateMap`` ran beside its columnar kernel: it walks the
@@ -8,20 +8,36 @@ own-identifier resolution index and the defect semantics are those
 ``backward_columnar`` implements column-at-a-time;
 ``tests/mapper/test_backward_columnar.py`` asserts the two agree on
 every database the forward map produces, across every sublink policy.
+
+:func:`value_canonicalize` keeps the per-instance renaming that
+``canonicalize_population`` ran before it moved to id space: a
+``rename`` closure called once per instance and fact filler, with the
+renamed values re-interned.  ``tests/mapper/test_id_space_oracles.py``
+asserts both build identical populations, down to the intern order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 
+from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
 from repro.engine.database import Database
+from repro.errors import MappingError
 from repro.mapper.plan import FactPairs, RelationPlan, RolePlayers
-from repro.mapper.state_map import RelationalStateMap, _BackwardPrep, _canon
+from repro.mapper.state_map import RelationalStateMap, _BackwardPrep
+from repro.mapper.synthesis import MappingPlan
 
 from tests.oracles.brm import RowPopulation
 
 Instance = Hashable
+
+
+def _canon(values: tuple[Instance, ...]) -> Instance:
+    """The canonical instance named by a tuple of lexical values."""
+    if len(values) == 1:
+        return values[0]
+    return values
 
 
 def row_backward(
@@ -274,3 +290,129 @@ class _RowBackward:
                     population, index, source.player, filler, deeper
                 )
         population.add_fact(membership.fact, fillers[0], fillers[1])
+
+
+def _leg_maps(population: Population, path: tuple) -> list[dict[int, int]]:
+    """One first-co-filler map per component of a lexical leg.
+
+    Following the leg from an instance id is then a chain of dict
+    lookups (with ``None`` propagation), built once per leg instead of
+    probing ``facts_of`` and sorting fillers per instance.
+    """
+    schema = population.schema
+    maps = []
+    for component in path:
+        fact = schema.fact_type(component.fact)
+        position = fact.position_of(component.near_role)
+        maps.append(population.first_co(fact.name, position))
+    return maps
+
+
+def value_canonicalize(
+    plan: MappingPlan, population: Population
+) -> Population:
+    """Rename abstract instances to their lexical reference values.
+
+    Each non-lexical instance is renamed to the (tuple of) values of
+    the chosen reference scheme of its *root* supertype — the identity
+    the backwards mapping reconstructs.  LOT and LOT-NOLOT instances
+    are their own names already.
+
+    Batch formulation: per root type the reference legs are resolved
+    once into chains of first-co-filler maps over interned ids
+    (:func:`_leg_maps`), so renaming an instance is a handful of dict
+    lookups instead of per-instance ``facts_of`` probes and filler
+    sorts.
+    """
+    schema = plan.schema
+    value = population.value
+
+    # root -> ("disjunct", [first_co map per scheme fact]) or
+    #         ("legs", [leg map chain per reference leaf])
+    resolvers: dict[str, tuple[str, list]] = {}
+
+    def resolver_for(root: str) -> tuple[str, list]:
+        resolver = resolvers.get(root)
+        if resolver is not None:
+            return resolver
+        if root in plan.disjunctive:
+            scheme = plan.disjunctive[root]
+            maps = []
+            for fact_name in scheme.facts:
+                fact = schema.fact_type(fact_name)
+                near = (
+                    fact.first if fact.first.player == root else fact.second
+                )
+                maps.append(
+                    population.first_co(fact_name, fact.position_of(near.name))
+                )
+            resolver = ("disjunct", maps)
+        else:
+            resolver = (
+                "legs",
+                [
+                    _leg_maps(population, leaf.path)
+                    for leaf in plan.resolver.leaves(root)
+                ],
+            )
+        resolvers[root] = resolver
+        return resolver
+
+    roots: dict[str, str | None] = {}  # type -> root (None when lexical)
+    renames: dict[tuple[str, int], Instance] = {}
+
+    def rename(type_name: str, interned: int) -> Instance:
+        root = roots.get(type_name, "")
+        if root == "":
+            object_type = schema.object_type(type_name)
+            root = (
+                min(schema.root_supertypes_of(type_name))
+                if object_type.is_nolot
+                else None
+            )
+            roots[type_name] = root
+        if root is None:
+            return value(interned)
+        key = (root, interned)
+        renamed = renames.get(key)
+        if renamed is not None:
+            return renamed
+        kind, legs = resolver_for(root)
+        if kind == "disjunct":
+            renamed = tuple(value(m.get(interned)) for m in legs)
+        else:
+            values = []
+            for maps in legs:
+                current: int | None = interned
+                for mapping in maps:
+                    current = mapping.get(current)
+                    if current is None:
+                        break
+                values.append(current)
+            if any(v is None for v in values):
+                raise MappingError(
+                    f"instance {value(interned)!r} of {type_name!r} has no "
+                    "complete reference; population is not a valid state"
+                )
+            renamed = _canon(tuple(value(v) for v in values))
+        renames[key] = renamed
+        return renamed
+
+    canonical = Population(schema)
+    for object_type in schema.object_types:
+        name = object_type.name
+        canonical.add_instances(
+            name,
+            (rename(name, i) for i in population.instance_ids(name)),
+        )
+    for fact in schema.fact_types:
+        first_type = fact.first.player
+        second_type = fact.second.player
+        canonical.add_facts(
+            fact.name,
+            [
+                (rename(first_type, first), rename(second_type, second))
+                for first, second in population.pair_ids(fact.name)
+            ],
+        )
+    return canonical
