@@ -47,9 +47,9 @@ from repro.mapper import (
     Rule,
     SublinkPolicy,
     TransformationEngine,
+    advise,
     map_schema,
 )
-from repro.mapper.expert import QueryPattern, QueryProfile, recommend_options
 from repro.mapper.translate import translate_state
 from repro.mapper.naive import naive_map
 from repro.metadb import MetaDatabase
@@ -57,6 +57,7 @@ from repro.notation import render_ascii, render_dot
 from repro.ridl import ConceptualQuery, FactSelection, QueryCompiler
 from repro.ridlf import ExampleTable, induce_schema
 from repro.sql import generate_sql
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
 __version__ = "1.0.0"
 
@@ -69,7 +70,6 @@ __all__ = [
     "FactSelection",
     "QueryCompiler",
     "QueryPattern",
-    "QueryProfile",
     "MappingOptions",
     "MappingResult",
     "MetaDatabase",
@@ -82,6 +82,8 @@ __all__ = [
     "SublinkPolicy",
     "SublinkRef",
     "TransformationEngine",
+    "WorkloadProfile",
+    "advise",
     "analyze",
     "boolean",
     "char",
@@ -93,7 +95,6 @@ __all__ = [
     "naive_map",
     "numeric",
     "parse",
-    "recommend_options",
     "real",
     "render_ascii",
     "render_dot",

@@ -89,17 +89,9 @@ class CompiledRule:
         relations changed; a rule whose dependencies are untouched
         keeps its baseline verdict.
         """
-        constraint = self.constraint
-        deps = {self.relation}
-        if isinstance(constraint, ForeignKey):
-            deps.add(constraint.referenced_relation)
-        elif isinstance(constraint, EqualityViewConstraint):
-            deps.add(constraint.left.relation)
-            deps.add(constraint.right.relation)
-        elif isinstance(constraint, SubsetViewConstraint):
-            deps.add(constraint.subset.relation)
-            deps.add(constraint.superset.relation)
-        return frozenset(deps)
+        if self.constraint is None:
+            return frozenset((self.relation,))
+        return self.constraint.relations_used()
 
     def __post_init__(self) -> None:
         if self.kind not in RULE_KINDS:

@@ -48,6 +48,7 @@ from repro.executor.compile import (
     prunable_rules,
 )
 from repro.mapper import MappingOptions, map_schema
+from repro.mapper.advisor import resolve_workers
 from repro.observability.tracer import NOOP_SPAN, Tracer
 from repro.observability.tracer import active as _obs_active
 from repro.observability.tracer import count as _obs_count
@@ -157,14 +158,6 @@ def _check_shard_violations(
         backend.close()
 
 
-def resolve_check_workers(workers: int | None, rules: int) -> int:
-    """The effective check worker count: ``None`` auto-sizes to the
-    CPU count, and never more workers than rules."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, max(1, rules)))
-
-
 def run_checks(
     backend: Backend,
     rules: tuple[CompiledRule, ...],
@@ -183,7 +176,7 @@ def run_checks(
 
     Returns ``(violations, effective_workers)``.
     """
-    effective = resolve_check_workers(workers, len(rules))
+    effective = resolve_workers(workers, len(rules))
     tracer = _obs_active()
     with _obs_span(
         "executor.check",
@@ -368,7 +361,7 @@ def _replay_injections(
     are replayed on the live backend.  Either way the result is
     deterministic and the backend is left holding the baseline rows.
     """
-    effective = resolve_check_workers(workers, len(items))
+    effective = resolve_workers(workers, len(items))
     tracer = _obs_active()
     if effective > 1:
         with tempfile.TemporaryDirectory(prefix="repro-inject-") as tmp:

@@ -53,6 +53,7 @@ from repro.mapper.optionspace import (
 from repro.mapper.rulebase import Rule
 from repro.mapper.synthesis import MappingPlan
 from repro.observability import tracer as obs
+from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
 from repro.robustness.health import HealthReport
 from repro.workloads.statistics import (
     WorkloadProfile,
@@ -82,7 +83,9 @@ class CandidateScore:
 
     tables: int
     storage_pages: int
-    entity_fetch_pages: int
+    #: Whole pages, times the query frequencies when the profile has
+    #: a query workload.
+    entity_fetch_pages: float
     nullable_columns: int
     total: float
 
@@ -278,16 +281,21 @@ def score_plan(
     """Score one candidate design from its relation plans.
 
     ``storage_pages`` totals the heap sizes; ``entity_fetch_pages``
-    totals, over every object type, the keyed lookups needed to
-    gather the type's facts from all relations owned by it (the
-    dynamic-join cost of section 4); ``nullable_columns`` counts the
-    nullable non-key columns (the paper's bracketed attributes) as
-    the design's null exposure.
+    totals the keyed lookups (index descent plus heap page per
+    relation) of the dynamic joins of section 4; ``nullable_columns``
+    counts the nullable non-key columns (the paper's bracketed
+    attributes) as the design's null exposure.
+
+    With a query workload (``profile.queries``) the fetch pages are
+    each pattern's compiled access plan priced per relation touched,
+    times its frequency; a pattern the design cannot answer raises
+    :class:`~repro.errors.MappingError`.  Without one, every object
+    type is fetched with the facts of all relations owned by it.
     """
     statistics = plan_statistics(plan, profile)
     storage_pages = 0
     nullable_columns = 0
-    spread: dict[str, list[str]] = {}
+    owned: list[str] = []
     for name, relation_plan in sorted(plan.plans.items()):
         rows = statistics.row_count(name)
         storage_pages += model.heap_pages(plan_row_bytes(relation_plan), rows)
@@ -297,13 +305,29 @@ def score_plan(
             if unit.nullable and unit.name not in relation_plan.key_columns
         )
         if relation_plan.owner is not None:
-            spread.setdefault(relation_plan.owner, []).append(name)
-    entity_fetch_pages = 0
-    for owner in sorted(spread):
-        for name in spread[owner]:
-            entity_fetch_pages += (
-                model.index_depth(statistics.row_count(name)) + 1
+            owned.append(name)
+
+    def fetch_pages(names: list[str]) -> int:
+        return sum(
+            model.index_depth(statistics.row_count(name)) + 1
+            for name in names
+        )
+
+    if profile.queries:
+        compiler = QueryCompiler.for_plan(plan)
+        entity_fetch_pages = 0
+        for pattern in profile.queries:
+            compiled = compiler.compile(
+                ConceptualQuery(
+                    pattern.object_type,
+                    selections=tuple(map(FactSelection, pattern.facts)),
+                )
             )
+            entity_fetch_pages += (
+                fetch_pages(compiled.relations_touched) * pattern.frequency
+            )
+    else:
+        entity_fetch_pages = fetch_pages(owned)
     tables = len(plan.plans)
     total = round(
         weights.entity_fetch * entity_fetch_pages
@@ -439,7 +463,8 @@ def _run_group(task: _GroupTask) -> list[CandidateOutcome]:
 
 def resolve_workers(workers: int | None, groups: int) -> int:
     """The effective worker count: ``None`` auto-sizes to the CPU
-    count, and never more workers than prefix groups."""
+    count, and never more workers than work items (the advisor's
+    prefix groups, the checker's rules or injections)."""
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, min(workers, max(1, groups)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.brm.facts import RoleId
 from repro.errors import MappingError
 from repro.mapper.result import MappingResult
-from repro.mapper.synthesis import RoleLocation
+from repro.mapper.synthesis import MappingPlan, RoleLocation
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,34 @@ class CompiledQuery:
 
 
 class QueryCompiler:
-    """Compiles conceptual queries through a mapping result."""
+    """Compiles conceptual queries through a mapping plan.
+
+    ``eliminations`` are the mapping state's TOGETHER-eliminated
+    sublinks; only a :class:`SubtypeFilter` reads them.
+    """
 
     def __init__(self, result: MappingResult) -> None:
-        self.result = result
         self.plan = result.plan
+        self.eliminations = tuple(result.state.hints.eliminations.values())
+
+    @classmethod
+    def for_plan(cls, plan: MappingPlan) -> QueryCompiler:
+        """A compiler over a relation plan that was never materialized.
+
+        The plan alone records no TOGETHER eliminations, so a
+        :class:`SubtypeFilter` on an eliminated subtype raises
+        :class:`MappingError`; every other query compiles exactly as
+        through the mapping result.
+        """
+        compiler = cls.__new__(cls)
+        compiler.plan = plan
+        compiler.eliminations = ()
+        return compiler
 
     # ------------------------------------------------------------------
 
     def compile(self, query: ConceptualQuery) -> CompiledQuery:
         """Derive the relational access plan for a conceptual query."""
-        schema = self.plan.schema
         anchor = self.plan.anchor_of.get(query.object_type)
         if anchor is None:
             raise MappingError(
@@ -290,7 +307,7 @@ class QueryCompiler:
                 return (repr_.sub_relation, sub_plan.key_columns[0], None)
         # A TOGETHER-eliminated sublink: membership is the anchor
         # role's presence or the synthesized indicator column.
-        for record in self.result.state.hints.eliminations.values():
+        for record in self.eliminations:
             if record.subtype != subtype:
                 continue
             if record.anchor is not None:

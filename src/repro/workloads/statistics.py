@@ -9,7 +9,11 @@ restrictive null policy) holds the filled fraction, and a
 many-to-many fact relation holds ``fact_fanout`` rows per owner
 instance.  A :class:`WorkloadProfile` carries those assumptions plus
 per-type instance counts, so the same candidate lattice can be
-ranked under different application environments.
+ranked under different application environments.  Its optional
+query workload (:class:`QueryPattern`) names the conceptual access
+patterns the applications run: the paper's "query information" that
+should "steer the mapping towards limited de-normalization" (section
+4.1 and the concluding remarks).
 """
 
 from __future__ import annotations
@@ -22,6 +26,20 @@ from repro.mapper.synthesis import MappingPlan
 
 
 @dataclass(frozen=True)
+class QueryPattern:
+    """One conceptual access pattern.
+
+    ``facts`` are the fact types fetched together with the instance
+    of ``object_type``; ``frequency`` is its relative weight in the
+    workload (executions per unit of time).
+    """
+
+    object_type: str
+    facts: tuple[str, ...]
+    frequency: float = 1.0
+
+
+@dataclass(frozen=True)
 class WorkloadProfile:
     """Population assumptions for one application environment.
 
@@ -30,12 +48,15 @@ class WorkloadProfile:
     is the fraction of instances actually playing an optional role
     (satellite-relation row count); ``fact_fanout`` is the average
     number of many-to-many fact instances per owner instance.
+    ``queries`` is the applications' query workload; when empty, every
+    object type is assumed fetched with all of its facts.
     """
 
     default_instances: int = 10_000
     optional_fill: float = 0.6
     fact_fanout: float = 2.0
     instances: tuple[tuple[str, int], ...] = ()
+    queries: tuple[QueryPattern, ...] = ()
 
     def instances_of(self, type_name: str) -> int:
         """Estimated instance count of one object type."""

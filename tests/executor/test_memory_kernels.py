@@ -6,6 +6,10 @@ yield (up to ``MAX_CANDIDATES`` per rule) must get the oracle's
 verdicts exactly: ``MemoryBackend.run_rule`` returns the oracle's
 ``Violation`` (rule, kind, relation, count and sample), and
 ``Database.check()`` returns the oracle's messages in its order.
+
+On the same cases plus one section-5 industrial draw, every compiled
+rule's dependency relations equal the ``isinstance`` chain the rule
+used before it asked its constraint.
 """
 
 import random
@@ -23,9 +27,9 @@ from repro.robustness.violations import (
     MUTATORS,
     known_values,
 )
-from repro.workloads import generate_bulk_population
+from repro.workloads import SchemaShape, generate_bulk_population, generate_schema
 from tests.executor.conftest import build_authorship_schema
-from tests.oracles.executor import ScanDatabase, run_rule
+from tests.oracles.executor import ScanDatabase, rule_relations, run_rule
 
 CASES = {
     "cris": (cris_schema, MappingOptions()),
@@ -46,6 +50,19 @@ CASES = {
 }
 
 SEED = 7
+
+#: The section-5 industrial shape (about 130-150 tables per draw).
+INDUSTRIAL_SHAPE = SchemaShape(
+    entity_types=90,
+    attributes_per_entity=(4, 9),
+    optional_ratio=0.5,
+    rich_constraints=True,
+    exclusion_groups=5,
+    subset_ratio=0.9,
+    value_ratio=0.5,
+    alternate_identifier_ratio=0.3,
+    many_to_many_per_entity=0.6,
+)
 
 
 def mapped_case(name):
@@ -101,3 +118,17 @@ def test_kernels_equal_the_scan_oracle(case):
         checked += 1
     assert checked > len(rules)
     assert violated > 0
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["industrial"])
+def test_rule_relations_equal_the_isinstance_oracle(case):
+    if case == "industrial":
+        schema = generate_schema(INDUSTRIAL_SHAPE, seed=1989)
+        options = MappingOptions()
+    else:
+        factory, options = CASES[case]
+        schema = factory()
+    rules = compile_rules(map_schema(schema, options).relational)
+    assert [rule.relations for rule in rules] == [
+        rule_relations(rule) for rule in rules
+    ]

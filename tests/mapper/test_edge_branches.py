@@ -1,18 +1,19 @@
 """Edge-branch tests: degraded constraints, infeasible candidates,
 multi-item view constraints, collision handling."""
 
-import pytest
-
 from repro.brm import Population, SchemaBuilder, char, numeric
-from repro.engine.cost import TableStatistics
-from repro.mapper import MappingOptions, NullPolicy, map_schema
-from repro.mapper.expert import (
-    QueryPattern,
-    QueryProfile,
-    evaluate_candidate,
-    recommend_options,
+from repro.cris import figure6_schema
+from repro.mapper import (
+    MappingOptions,
+    NullPolicy,
+    OptionSpace,
+    SublinkPolicy,
+    advise,
+    map_schema,
 )
+from repro.mapper.advisor import ScoreWeights
 from repro.relational import EqualityViewConstraint
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
 
 class TestDegradedConstraints:
@@ -121,45 +122,62 @@ class TestColumnCollisions:
 
 class TestExpertEdgeCases:
     def test_infeasible_candidate_reported_not_raised(self):
-        from repro.cris import figure6_schema
-
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (QueryPattern("Paper", ("no_such_fact",), frequency=1.0),)
+        profile = WorkloadProfile(
+            queries=(QueryPattern("Paper", ("no_such_fact",)),)
         )
-        evaluation = evaluate_candidate(
-            schema,
-            "default",
-            MappingOptions(),
-            profile,
-            TableStatistics(),
+        report = advise(
+            figure6_schema(),
+            OptionSpace(null_policies=(), sublink_policies=()),
+            workers=1,
+            profile=profile,
         )
-        assert not evaluation.feasible
-        assert "no_such_fact" in (evaluation.error or "")
+        (outcome,) = report.ranked
+        assert outcome.failed
+        assert outcome.options == MappingOptions().canonical()
+        assert "no_such_fact" in (outcome.error or "")
 
-    def test_all_infeasible_raises(self):
-        from repro.cris import figure6_schema
-        from repro.errors import MappingError
-
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (QueryPattern("Paper", ("no_such_fact",), frequency=1.0),)
+    def test_all_infeasible_has_no_winner(self):
+        profile = WorkloadProfile(
+            queries=(QueryPattern("Paper", ("no_such_fact",)),)
         )
-        with pytest.raises(MappingError):
-            recommend_options(schema, profile)
+        report = advise(figure6_schema(), workers=1, profile=profile)
+        assert report.winner is None
+        assert report.ranked
+        assert report.failures == report.ranked
+        assert report.render().endswith("winner: none (all candidates failed)")
 
     def test_render_marks_infeasible(self):
-        from repro.cris import figure6_schema
-
-        schema = figure6_schema()
-        profile = QueryProfile(
-            (
-                QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),
-                # This one only exists after TOGETHER elimination at the
-                # Paper level via inheritance; it is feasible everywhere,
-                # so craft an infeasible one with a bogus object type.
-                QueryPattern("Paper", ("Paper_has_Title",), frequency=1.0),
-            )
+        """A pattern on the ``Program_Paper`` subtype needs its own
+        relation: every TOGETHER candidate eliminates it and fails.
+        Priced on fetch pages alone over flat row counts, the default
+        design wins among the rest."""
+        profile = WorkloadProfile(
+            default_instances=100_000,
+            optional_fill=1.0,
+            fact_fanout=1.0,
+            queries=(QueryPattern("Program_Paper", ("scheduled",)),),
         )
-        recommendation = recommend_options(schema, profile)
-        assert "<= recommended" in recommendation.render()
+        report = advise(
+            figure6_schema(),
+            workers=1,
+            profile=profile,
+            weights=ScoreWeights(tables=0.0, storage=0.0, null_exposure=0.0),
+        )
+        failed = [
+            o
+            for o in report.ranked
+            if o.options.sublink_policy is SublinkPolicy.TOGETHER
+        ]
+        assert len(failed) == 3
+        assert report.failures == tuple(failed)
+        assert all("no anchor relation" in o.error for o in failed)
+        assert report.ranked[-len(failed):] == tuple(failed)
+        rows = report.render().splitlines()[2:-1]
+        assert len(rows) == len(report.ranked)
+        assert [row.split()[1] == "FAILED" for row in rows] == [
+            o.failed for o in report.ranked
+        ]
+        for row, outcome in zip(rows, report.ranked):
+            if outcome.failed:
+                assert "no anchor relation" in row
+        assert report.winner.label == "DEFAULT SEPARATE"

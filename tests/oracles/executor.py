@@ -14,6 +14,12 @@ C-speed checking kernels and the one-row delta replay, kept as it was
 ``tests/executor/test_memory_kernels.py`` and
 ``tests/executor/test_replay.py`` assert the production paths equal
 these, result for result and in order.
+
+:func:`rule_relations` keeps ``CompiledRule.relations`` as an
+``isinstance`` chain over the constraint kinds, from before the rule
+asked its constraint's ``relations_used()``;
+``tests/executor/test_memory_kernels.py`` asserts both agree on every
+compiled rule.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from repro.executor.backends import Violation, _sample
 from repro.executor.harness import MatrixRow, load_dataset
 from repro.relational.constraints import (
     CandidateKey,
+    EqualityViewConstraint,
     ForeignKey,
     PrimaryKey,
     SelectSpec,
+    SubsetViewConstraint,
 )
 
 
@@ -184,3 +192,18 @@ def full_reload_matrix(backend, schema, rules, injections) -> list[MatrixRow]:
             )
         )
     return rows
+
+
+def rule_relations(rule) -> frozenset[str]:
+    """Every relation a compiled rule's verdict depends on."""
+    constraint = rule.constraint
+    deps = {rule.relation}
+    if isinstance(constraint, ForeignKey):
+        deps.add(constraint.referenced_relation)
+    elif isinstance(constraint, EqualityViewConstraint):
+        deps.add(constraint.left.relation)
+        deps.add(constraint.right.relation)
+    elif isinstance(constraint, SubsetViewConstraint):
+        deps.add(constraint.subset.relation)
+        deps.add(constraint.superset.relation)
+    return frozenset(deps)

@@ -14,6 +14,14 @@ every database the forward map produces, across every sublink policy.
 ``rename`` closure called once per instance and fact filler, with the
 renamed values re-interned.  ``tests/mapper/test_id_space_oracles.py``
 asserts both build identical populations, down to the intern order.
+
+:func:`materialized_workload_cost` keeps the pricing of the serial
+expert recommender that the advisor replaced: map the schema in full,
+compile each query pattern through ``QueryCompiler(result)`` and price
+its relations with ``entity_fetch_cost`` on the materialized
+relational schema.  ``tests/mapper/test_queries_expert.py`` asserts
+that ``score_plan`` prices every candidate's plan the same, and that
+both fail on the same candidates.
 """
 
 from __future__ import annotations
@@ -22,11 +30,17 @@ from collections.abc import Hashable
 
 from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
+from repro.brm.schema import BinarySchema
+from repro.engine.cost import CostModel, TableStatistics, entity_fetch_cost
 from repro.engine.database import Database
 from repro.errors import MappingError
+from repro.mapper.engine import map_schema
+from repro.mapper.options import MappingOptions
 from repro.mapper.plan import FactPairs, RelationPlan, RolePlayers
 from repro.mapper.state_map import RelationalStateMap, _BackwardPrep
 from repro.mapper.synthesis import MappingPlan
+from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
+from repro.workloads.statistics import QueryPattern
 
 from tests.oracles.brm import RowPopulation
 
@@ -416,3 +430,33 @@ def value_canonicalize(
             ],
         )
     return canonical
+
+
+def materialized_workload_cost(
+    schema: BinarySchema,
+    options: MappingOptions,
+    queries: tuple[QueryPattern, ...],
+    statistics: TableStatistics,
+    model: CostModel = CostModel(),
+) -> float:
+    """The weighted page reads of a query workload on the mapped design.
+
+    Raises :class:`MappingError` when the options do not map or a
+    pattern does not compile against the result.
+    """
+    result = map_schema(schema, options)
+    compiler = QueryCompiler(result)
+    total = 0.0
+    for pattern in queries:
+        query = ConceptualQuery(
+            pattern.object_type,
+            selections=tuple(
+                FactSelection(fact) for fact in pattern.facts
+            ),
+        )
+        compiled = compiler.compile(query)
+        cost = entity_fetch_cost(
+            result.relational, compiled.relations_touched, statistics, model
+        )
+        total += cost * pattern.frequency
+    return total
