@@ -20,15 +20,7 @@ from operator import is_, itemgetter
 
 from repro.engine.query import Row, select_rows
 from repro.errors import EngineError, IntegrityViolation
-from repro.relational.constraints import (
-    CandidateKey,
-    CheckConstraint,
-    EqualityViewConstraint,
-    ForeignKey,
-    PrimaryKey,
-    SelectSpec,
-    SubsetViewConstraint,
-)
+from repro.relational.constraints import ForeignKey, SelectSpec
 from repro.relational.predicates import Predicate
 from repro.relational.schema import RelationalSchema
 
@@ -223,8 +215,8 @@ class Database:
         return [{c: row.get(c) for c in columns} for row in matched]
 
     # ------------------------------------------------------------------
-    # Checking kernels: one C-speed scan per constraint shape, shared by
-    # :meth:`check` and the in-memory backend's rule interpreter.
+    # Checking kernels: one C-speed scan per constraint shape, behind
+    # every constraint's ``violating`` and ``check`` faces.
     # ------------------------------------------------------------------
 
     def evaluate_select(self, spec: SelectSpec) -> set[tuple[object, ...]]:
@@ -283,19 +275,9 @@ class Database:
 
     def check(self) -> list[IntegrityViolation]:
         """Every constraint violation in the current state."""
-        violations: list[IntegrityViolation] = []
-        violations.extend(self._check_not_null())
+        violations = self._check_not_null()
         for constraint in self.schema.constraints:
-            if isinstance(constraint, (PrimaryKey, CandidateKey)):
-                violations.extend(self._check_key(constraint))
-            elif isinstance(constraint, ForeignKey):
-                violations.extend(self._check_foreign_key(constraint))
-            elif isinstance(constraint, CheckConstraint):
-                violations.extend(self._check_check(constraint))
-            elif isinstance(constraint, EqualityViewConstraint):
-                violations.extend(self._check_equality_view(constraint))
-            elif isinstance(constraint, SubsetViewConstraint):
-                violations.extend(self._check_subset_view(constraint))
+            violations.extend(constraint.check(self))
         return violations
 
     def is_valid(self) -> bool:
@@ -325,87 +307,6 @@ class Database:
                     )
                 )
         return violations
-
-    def _check_key(
-        self, constraint: PrimaryKey | CandidateKey
-    ) -> list[IntegrityViolation]:
-        violations = []
-        if isinstance(constraint, PrimaryKey):
-            # Entity integrity — unless the attribute was explicitly made
-            # nullable (the paper's "NULL ALLOWED" option deliberately
-            # violates the Entity Integrity Rule, section 4.2.1), in
-            # which case NULL keys are skipped for uniqueness.
-            relation = self.schema.relation(constraint.relation)
-            for column in constraint.columns:
-                if relation.attribute(column).nullable:
-                    continue
-                for _ in self.null_cells(constraint.relation, (column,)):
-                    violations.append(
-                        IntegrityViolation(
-                            constraint.name,
-                            f"NULL in primary key column {column!r}",
-                        )
-                    )
-        for key in self.duplicate_keys(constraint.relation, constraint.columns):
-            violations.append(
-                IntegrityViolation(
-                    constraint.name,
-                    f"duplicate key {key!r} in {constraint.relation!r}",
-                )
-            )
-        return violations
-
-    def _check_foreign_key(self, constraint: ForeignKey) -> list[IntegrityViolation]:
-        return [
-            IntegrityViolation(
-                constraint.name,
-                f"{constraint.relation!r} value "
-                f"{tuple(row[c] for c in constraint.columns)!r} has no match "
-                f"in {constraint.referenced_relation!r}"
-                f"({', '.join(constraint.referenced_columns)})",
-            )
-            for row in self.unmatched_rows(constraint)
-        ]
-
-    def _check_check(self, constraint: CheckConstraint) -> list[IntegrityViolation]:
-        return [
-            IntegrityViolation(
-                constraint.name,
-                f"row {row!r} fails {constraint.predicate.render()}",
-            )
-            for row in self._tables[constraint.relation]
-            if not constraint.predicate.evaluate(row)
-        ]
-
-    def _check_equality_view(
-        self, constraint: EqualityViewConstraint
-    ) -> list[IntegrityViolation]:
-        left = self.evaluate_select(constraint.left)
-        right = self.evaluate_select(constraint.right)
-        if left == right:
-            return []
-        return [
-            IntegrityViolation(
-                constraint.name,
-                f"view sets differ: only-left={sorted(left - right, key=repr)!r} "
-                f"only-right={sorted(right - left, key=repr)!r}",
-            )
-        ]
-
-    def _check_subset_view(
-        self, constraint: SubsetViewConstraint
-    ) -> list[IntegrityViolation]:
-        subset = self.evaluate_select(constraint.subset)
-        superset = self.evaluate_select(constraint.superset)
-        stray = subset - superset
-        if not stray:
-            return []
-        return [
-            IntegrityViolation(
-                constraint.name,
-                f"tuples {sorted(stray, key=repr)!r} are not in the superset view",
-            )
-        ]
 
     # ------------------------------------------------------------------
     # Whole-database operations

@@ -25,13 +25,7 @@ from repro.executor.backends import (
     duckdb_available,
     resolve_backend,
 )
-from repro.executor.compile import (
-    RULE_KINDS,
-    CompiledRule,
-    compile_rules,
-    sql_predicate,
-    sql_select,
-)
+from repro.executor.compile import CompiledRule, compile_rules
 from repro.executor.ddl import (
     create_table_statements,
     executable_ddl,
@@ -56,7 +50,6 @@ __all__ = [
     "DuckDBBackend",
     "FALLBACK_ORDER",
     "MemoryBackend",
-    "RULE_KINDS",
     "ResolvedBackend",
     "SqliteBackend",
     "ValidationReport",
@@ -73,6 +66,4 @@ __all__ = [
     "load_dataset",
     "resolve_backend",
     "run_validation",
-    "sql_predicate",
-    "sql_select",
 ]

@@ -8,10 +8,11 @@ Three interchangeable backends execute the validation harness:
 * :class:`SqliteBackend` — the stdlib middle tier.  Always available,
   runs the same SQL, so the compiled-query path is exercised on every
   machine (and in the no-duckdb CI leg) without any install.
-* :class:`MemoryBackend` — the reference semantics.  Interprets each
-  compiled rule against :class:`repro.engine.database.Database`
-  exactly the way ``Database.check()`` would, which is what the
-  backend-parity property tests pin the SQL backends against.
+* :class:`MemoryBackend` — the reference semantics.  Answers each
+  compiled rule with its constraint's in-memory verdict over
+  :class:`repro.engine.database.Database`, the same verdict
+  ``Database.check()`` reports, which is what the backend-parity
+  property tests pin the SQL backends against.
 
 All backends report violations in the same normal form
 (:class:`Violation`: rule name, kind, violating-tuple count), so
@@ -186,34 +187,10 @@ class MemoryBackend(Backend):
         return self.database.count(relation)
 
     def run_rule(self, rule: CompiledRule) -> Violation | None:
-        # Read-only interpretation through the engine's checking
-        # kernels, which scan the live rows without copying them — the
-        # injection planner runs this checker for every candidate.
-        database = self.database
-        constraint = rule.constraint
-        if rule.kind == "not-null":
-            bad = [
-                row
-                for row, _ in database.null_cells(rule.relation, (rule.column,))
-            ]
-        elif rule.kind in ("primary-key", "candidate-key"):
-            bad = database.duplicate_keys(rule.relation, constraint.columns)
-        elif rule.kind == "foreign-key":
-            bad = database.unmatched_rows(constraint)
-        elif rule.kind == "check":
-            bad = [
-                row
-                for row in database.iter_rows(rule.relation)
-                if not constraint.predicate.evaluate(row)
-            ]
-        elif rule.kind == "equality-view":
-            left = database.evaluate_select(constraint.left)
-            right = database.evaluate_select(constraint.right)
-            bad = sorted(left ^ right, key=repr)
-        else:  # subset-view
-            subset = database.evaluate_select(constraint.subset)
-            superset = database.evaluate_select(constraint.superset)
-            bad = sorted(subset - superset, key=repr)
+        # Read-only: the engine's checking kernels scan the live rows
+        # without copying them — the injection planner runs this
+        # checker for every candidate.
+        bad = rule.constraint.violating(self.database)
         if not bad:
             return None
         return Violation(

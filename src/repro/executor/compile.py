@@ -2,26 +2,14 @@
 
 The paper emits the extended constraints as pseudo-SQL comments — "a
 formal specification for a program segment to enforce this
-constraint" (section 4.2.2).  This module writes those program
-segments: every constraint of the generic relational schema becomes
-one SQL query that returns the *violating* rows (or tuples), so a
-rule holds exactly when its checker query returns an empty result.
-
-Two-valued NULL semantics
--------------------------
-
-The in-memory engine evaluates predicates two-valued: a comparison
-against NULL is simply *false* (:mod:`repro.relational.predicates`).
-Plain SQL is three-valued, and the difference is observable once a
-checker query negates a predicate: ``NOT (flag = 'Y')`` is *unknown*
-for a NULL flag in SQL (row not returned — violation missed) but
-*true* in the engine (violation reported).  To keep every backend's
-verdict identical, :func:`sql_predicate` wraps each comparison atom
-in ``COALESCE((...), FALSE)``, collapsing *unknown* to *false* before
-any negation — the same collapse the engine's ``evaluate`` performs.
-The ``IS [NOT] NULL`` guards of the view-constraint sides are already
-two-valued in SQL and are rendered verbatim, matching the pseudo-SQL
-of :mod:`repro.sql.pseudo` guard for guard.
+constraint" (section 4.2.2).  Every constraint of the generic
+relational schema, plus one NOT NULL constraint per mandatory
+attribute, becomes one rule whose SQL query (the constraint's own
+:meth:`~repro.relational.constraints.RelationalConstraint.checker_sql`)
+returns the *violating* rows (or tuples), so a rule holds exactly
+when its checker query returns an empty result.  The queries agree
+with the in-memory engine under NULLs because predicates compile
+two-valued (:meth:`repro.relational.predicates.Predicate.sql`).
 """
 
 from __future__ import annotations
@@ -29,38 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import UnknownElementError
-from repro.relational.constraints import (
-    CandidateKey,
-    CheckConstraint,
-    EqualityViewConstraint,
-    ForeignKey,
-    PrimaryKey,
-    RelationalConstraint,
-    SelectSpec,
-    SubsetViewConstraint,
-)
-from repro.relational.predicates import (
-    And,
-    Compare,
-    InValues,
-    IsNull,
-    Not,
-    NotNull,
-    Or,
-    Predicate,
-    render_literal,
-)
-
-#: The rule kinds a compiled checker can have, in report order.
-RULE_KINDS = (
-    "not-null",
-    "primary-key",
-    "candidate-key",
-    "foreign-key",
-    "check",
-    "equality-view",
-    "subset-view",
-)
+from repro.relational.constraints import NotNullConstraint, RelationalConstraint
 
 
 @dataclass(frozen=True)
@@ -68,17 +25,25 @@ class CompiledRule:
     """One lossless rule compiled to an executable checker query.
 
     ``sql`` returns the violating rows/tuples; the rule holds iff the
-    query result is empty.  ``relation`` is the relation whose rows
-    the rule constrains (for view constraints: the first side's).
+    query result is empty.  Name, kind and relation are the
+    constraint's; ``relation`` is the relation whose rows the rule
+    constrains (for view constraints: the first side's).
     """
 
-    name: str
-    kind: str
-    relation: str
+    constraint: RelationalConstraint
     sql: str
-    constraint: RelationalConstraint | None = None
-    #: For ``not-null`` rules: the guarded column.
-    column: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.constraint.name
+
+    @property
+    def kind(self) -> str:
+        return self.constraint.kind
+
+    @property
+    def relation(self) -> str:
+        return self.constraint.relation
 
     @property
     def relations(self) -> frozenset[str]:
@@ -89,73 +54,7 @@ class CompiledRule:
         relations changed; a rule whose dependencies are untouched
         keeps its baseline verdict.
         """
-        if self.constraint is None:
-            return frozenset((self.relation,))
         return self.constraint.relations_used()
-
-    def __post_init__(self) -> None:
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-
-
-def sql_predicate(predicate: Predicate) -> str:
-    """Render a predicate to SQL with two-valued semantics.
-
-    Comparison and IN atoms — the only atoms that can evaluate to
-    *unknown* — are wrapped in ``COALESCE((...), FALSE)`` so that SQL
-    agrees with :meth:`Predicate.evaluate` on every row, including
-    under negation (see the module docstring).
-    """
-    if isinstance(predicate, IsNull):
-        return f"( {predicate.column} IS NULL )"
-    if isinstance(predicate, NotNull):
-        return f"( {predicate.column} IS NOT NULL )"
-    if isinstance(predicate, Compare):
-        atom = (
-            f"{predicate.column} {predicate.op} "
-            f"{render_literal(predicate.value)}"
-        )
-        return f"COALESCE(( {atom} ), FALSE)"
-    if isinstance(predicate, InValues):
-        rendered = ", ".join(render_literal(v) for v in predicate.values)
-        return f"COALESCE(( {predicate.column} IN ({rendered}) ), FALSE)"
-    if isinstance(predicate, And):
-        return (
-            "( "
-            + " AND ".join(sql_predicate(p) for p in predicate.operands)
-            + " )"
-        )
-    if isinstance(predicate, Or):
-        return (
-            "( "
-            + " OR ".join(sql_predicate(p) for p in predicate.operands)
-            + " )"
-        )
-    if isinstance(predicate, Not):
-        return f"( NOT {sql_predicate(predicate.operand)} )"
-    raise TypeError(f"cannot compile predicate {predicate!r}")
-
-
-def sql_select(spec: SelectSpec, aliases: tuple[str, ...]) -> str:
-    """One side of a view constraint as a SQL subquery.
-
-    Both sides of a view constraint are projected onto the same
-    ``aliases`` so EXCEPT/UNION see union-compatible column lists
-    even when the underlying column names differ.
-    """
-    columns = ", ".join(
-        f"{column} AS {alias}" if column != alias else column
-        for column, alias in zip(spec.columns, aliases)
-    )
-    sql = f"SELECT DISTINCT {columns} FROM {spec.relation}"
-    if spec.where is not None:
-        sql += f" WHERE {sql_predicate(spec.where)}"
-    return sql
-
-
-def view_aliases(count: int) -> tuple[str, ...]:
-    """Neutral output column names shared by both sides."""
-    return tuple(f"v{i + 1}" for i in range(count))
 
 
 def compile_rules(
@@ -181,28 +80,19 @@ def compile_rules(
                 "to relate relational rules back to BRM constraints"
             )
         pruned = prunable_rules(mapping)
-    rules: list[CompiledRule] = []
-    for relation in schema.relations:
-        for attribute in relation.attributes:
-            if attribute.nullable:
-                continue
-            rules.append(
-                CompiledRule(
-                    name=f"NN$_{relation.name}_{attribute.name}",
-                    kind="not-null",
-                    relation=relation.name,
-                    sql=(
-                        f"SELECT * FROM {relation.name} "
-                        f"WHERE {attribute.name} IS NULL"
-                    ),
-                    column=attribute.name,
-                )
-            )
-    for constraint in schema.constraints:
-        if constraint.name in pruned:
-            continue
-        rules.append(_compile_constraint(constraint))
-    return tuple(rules)
+    not_null = [
+        NotNullConstraint(
+            f"NN$_{relation.name}_{attribute.name}", relation.name, attribute.name
+        )
+        for relation in schema.relations
+        for attribute in relation.attributes
+        if not attribute.nullable
+    ]
+    declared = [c for c in schema.constraints if c.name not in pruned]
+    return tuple(
+        CompiledRule(constraint, constraint.checker_sql())
+        for constraint in not_null + declared
+    )
 
 
 def prunable_rules(mapping) -> dict[str, str]:
@@ -281,86 +171,3 @@ def prunable_rules(mapping) -> dict[str, str]:
         if took_any:
             pruned_constraints.add(verdict.subject)
     return pruned
-
-
-def _compile_constraint(constraint: RelationalConstraint) -> CompiledRule:
-    if isinstance(constraint, (PrimaryKey, CandidateKey)):
-        kind = (
-            "primary-key"
-            if isinstance(constraint, PrimaryKey)
-            else "candidate-key"
-        )
-        columns = ", ".join(constraint.columns)
-        # NULL keys are skipped, matching the engine's
-        # ``duplicates(..., ignore_null=True)`` — entity integrity for
-        # non-nullable key columns is the not-null rules' job.
-        guards = " AND ".join(
-            f"{column} IS NOT NULL" for column in constraint.columns
-        )
-        sql = (
-            f"SELECT {columns}, COUNT(*) AS occurrences "
-            f"FROM {constraint.relation} WHERE {guards} "
-            f"GROUP BY {columns} HAVING COUNT(*) > 1"
-        )
-        return CompiledRule(constraint.name, kind, constraint.relation, sql,
-                            constraint)
-    if isinstance(constraint, ForeignKey):
-        guards = " AND ".join(
-            f"s.{column} IS NOT NULL" for column in constraint.columns
-        )
-        match = " AND ".join(
-            f"t.{target} = s.{source}"
-            for source, target in zip(
-                constraint.columns, constraint.referenced_columns
-            )
-        )
-        sql = (
-            f"SELECT * FROM {constraint.relation} AS s "
-            f"WHERE {guards} AND NOT EXISTS ("
-            f"SELECT 1 FROM {constraint.referenced_relation} AS t "
-            f"WHERE {match})"
-        )
-        return CompiledRule(
-            constraint.name, "foreign-key", constraint.relation, sql,
-            constraint,
-        )
-    if isinstance(constraint, CheckConstraint):
-        sql = (
-            f"SELECT * FROM {constraint.relation} "
-            f"WHERE NOT {sql_predicate(constraint.predicate)}"
-        )
-        return CompiledRule(
-            constraint.name, "check", constraint.relation, sql, constraint
-        )
-    if isinstance(constraint, EqualityViewConstraint):
-        aliases = view_aliases(len(constraint.left.columns))
-        left = sql_select(constraint.left, aliases)
-        right = sql_select(constraint.right, aliases)
-        names = ", ".join(aliases)
-        sql = (
-            f"SELECT 'only-left' AS side, {names} "
-            f"FROM ( {left} EXCEPT {right} ) "
-            f"UNION ALL "
-            f"SELECT 'only-right' AS side, {names} "
-            f"FROM ( {right} EXCEPT {left} )"
-        )
-        return CompiledRule(
-            constraint.name,
-            "equality-view",
-            constraint.left.relation,
-            sql,
-            constraint,
-        )
-    if isinstance(constraint, SubsetViewConstraint):
-        aliases = view_aliases(len(constraint.subset.columns))
-        subset = sql_select(constraint.subset, aliases)
-        superset = sql_select(constraint.superset, aliases)
-        sql = f"{subset} EXCEPT {superset}"
-        return CompiledRule(
-            constraint.name,
-            "subset-view",
-            constraint.subset.relation,
-            sql,
-            constraint,
-        )
-    raise TypeError(f"cannot compile constraint {constraint!r}")

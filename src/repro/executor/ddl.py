@@ -24,7 +24,6 @@ profile) for identifier rules.
 from __future__ import annotations
 
 from repro.brm.datatypes import DataType, DataTypeKind
-from repro.executor.compile import sql_predicate
 from repro.relational.schema import RelationalSchema
 
 #: Storage classes shared by SQLite and DuckDB.  CHAR/VARCHAR/DATE/
@@ -108,7 +107,7 @@ def create_table_statements(
                 )
             for check in schema.checks(relation.name):
                 lines.append(
-                    f"  CHECK ( {sql_predicate(check.predicate)} )"
+                    f"  CHECK ( {check.predicate.sql()} )"
                 )
         body = ",\n".join(lines)
         statements.append(

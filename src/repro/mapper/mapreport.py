@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 
-from repro.sql.pseudo import render_constraint
 
 _RULE = "-" * 68
 
@@ -84,7 +83,7 @@ def render_backwards_map(result) -> str:
         concepts = provenance.constraints.get(constraint.name, [])
         if not concepts:
             continue
-        lines.append(render_constraint(constraint))
+        lines.append(constraint.render())
         lines.append("    DERIVED FROM")
         lines.extend(f"    {concept} ," for concept in concepts[:-1])
         lines.append(f"    {concepts[-1]}")

@@ -1117,11 +1117,7 @@ class _Lifter:
         }
 
         def group(view) -> tuple[int, ...]:
-            if isinstance(view, EqualityViewConstraint):
-                sides = (view.left, view.right)
-            else:
-                sides = (view.subset, view.superset)
-            host = min(side.relation for side in sides)
+            host = min(side.relation for side in view.sides)
             return (position.get(host, len(position)),)
 
         views = sorted(
@@ -1389,16 +1385,11 @@ def _schema_signature(schema: RelationalSchema) -> list[str]:
                 f"check {relation.name} {check.predicate.render()}"
             )
     for view in schema.view_constraints():
-        if isinstance(view, EqualityViewConstraint):
-            sides = (view.left, view.right)
-            tag = "eqview"
-        else:
-            sides = (view.subset, view.superset)
-            tag = "subview"
+        tag = "eqview" if isinstance(view, EqualityViewConstraint) else "subview"
         rendered = ";".join(
             f"{s.relation}({','.join(s.columns)})"
             f"[{s.where.render() if s.where else ''}]"
-            for s in sides
+            for s in view.sides
         )
         lines.append(f"{tag} {rendered}")
     return sorted(lines)

@@ -1,8 +1,11 @@
 """The generic relational schema model (target of RIDL-M).
 
 Relations, attributes, named domains, classical constraints (keys,
-foreign keys, CHECKs) and the paper's extended view constraints — the
-"lossless rules" of the schema transformations.
+foreign keys, CHECKs, NOT NULL) and the paper's extended view
+constraints — the "lossless rules" of the schema transformations.
+Each constraint class is the one definition of its kind: it renders
+its own pseudo-SQL, writes its own checker query and computes its own
+in-memory verdict.
 """
 
 from repro.relational.constraints import (
@@ -10,6 +13,7 @@ from repro.relational.constraints import (
     CheckConstraint,
     EqualityViewConstraint,
     ForeignKey,
+    NotNullConstraint,
     PrimaryKey,
     RelationalConstraint,
     SelectSpec,
@@ -45,6 +49,7 @@ __all__ = [
     "IsNull",
     "Not",
     "NotNull",
+    "NotNullConstraint",
     "Or",
     "Predicate",
     "PrimaryKey",

@@ -10,8 +10,9 @@ The paper's lossless rules include CHECK constraints such as::
 
 Predicates are small immutable trees over column tests.  They can be
 *evaluated* against a row (a mapping from column name to value, with
-``None`` for SQL NULL) by the in-memory engine, and *rendered* to SQL
-text by the dialect emitters.
+``None`` for SQL NULL) by the in-memory engine, *rendered* to SQL
+text by the dialect emitters, and compiled to the two-valued SQL of
+the checker queries (:meth:`Predicate.sql`).
 
 SQL three-valued logic is deliberately simplified to two-valued
 evaluation here: the only atoms we generate compare against NULL or
@@ -41,6 +42,25 @@ class Predicate:
         """A SQL-like textual rendering (dialect-neutral)."""
         raise NotImplementedError
 
+    def sql(self) -> str:
+        """The predicate as SQL with the engine's two-valued semantics.
+
+        The in-memory engine evaluates predicates two-valued: a
+        comparison against NULL is simply *false*.  Plain SQL is
+        three-valued, and the difference is observable once a checker
+        query negates a predicate: ``NOT (flag = 'Y')`` is *unknown*
+        for a NULL flag in SQL (row not returned — violation missed)
+        but *true* in the engine (violation reported).  To keep every
+        backend's verdict identical, comparison and IN atoms — the
+        only atoms that can evaluate to *unknown* — are wrapped in
+        ``COALESCE((...), FALSE)``, collapsing *unknown* to *false*
+        before any negation, the same collapse :meth:`evaluate`
+        performs.  ``IS [NOT] NULL`` tests are already two-valued in
+        SQL and are rendered verbatim, so the guards of a view
+        constraint's checker match its pseudo-SQL guard for guard.
+        """
+        raise NotImplementedError
+
     def __str__(self) -> str:
         return self.render()
 
@@ -60,6 +80,9 @@ class IsNull(Predicate):
     def render(self) -> str:
         return f"( {self.column} IS NULL )"
 
+    def sql(self) -> str:
+        return self.render()
+
 
 @dataclass(frozen=True)
 class NotNull(Predicate):
@@ -75,6 +98,9 @@ class NotNull(Predicate):
 
     def render(self) -> str:
         return f"( {self.column} IS NOT NULL )"
+
+    def sql(self) -> str:
+        return self.render()
 
 
 @dataclass(frozen=True)
@@ -117,6 +143,9 @@ class Compare(Predicate):
     def render(self) -> str:
         return f"( {self.column} {self.op} {render_literal(self.value)} )"
 
+    def sql(self) -> str:
+        return f"COALESCE({self.render()}, FALSE)"
+
 
 @dataclass(frozen=True)
 class InValues(Predicate):
@@ -140,6 +169,9 @@ class InValues(Predicate):
         rendered = ", ".join(render_literal(v) for v in self.values)
         return f"( {self.column} IN ({rendered}) )"
 
+    def sql(self) -> str:
+        return f"COALESCE({self.render()}, FALSE)"
+
 
 @dataclass(frozen=True)
 class And(Predicate):
@@ -159,6 +191,9 @@ class And(Predicate):
 
     def render(self) -> str:
         return "( " + " AND ".join(p.render() for p in self.operands) + " )"
+
+    def sql(self) -> str:
+        return "( " + " AND ".join(p.sql() for p in self.operands) + " )"
 
 
 @dataclass(frozen=True)
@@ -180,6 +215,9 @@ class Or(Predicate):
     def render(self) -> str:
         return "( " + " OR ".join(p.render() for p in self.operands) + " )"
 
+    def sql(self) -> str:
+        return "( " + " OR ".join(p.sql() for p in self.operands) + " )"
+
 
 @dataclass(frozen=True)
 class Not(Predicate):
@@ -195,6 +233,9 @@ class Not(Predicate):
 
     def render(self) -> str:
         return f"( NOT {self.operand.render()} )"
+
+    def sql(self) -> str:
+        return f"( NOT {self.operand.sql()} )"
 
 
 def render_literal(value: object) -> str:

@@ -207,11 +207,12 @@ def _other_key_columns(
 
 def _null_breach(schema, rule, dataset, known, rng) -> Iterator[tuple[Delta, str]]:
     rows = dataset.get(rule.relation, [])
+    column = rule.constraint.column
     for index in _row_order(rows, rng):
         row = dict(rows[index])
-        row[rule.column] = None
+        row[column] = None
         yield Delta(rule.relation, index, row), (
-            f"set {rule.relation}[{index}].{rule.column} to NULL"
+            f"set {rule.relation}[{index}].{column} to NULL"
         )
 
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 from repro.errors import SqlGenerationError
 from repro.relational.schema import RelationalSchema
 from repro.sql.dialects import DB2, INGRES, ORACLE, PROFILES, SQL2, SYBASE
-from repro.sql.emitter import DdlEmitter, DialectProfile
+from repro.sql.emitter import DdlEmitter, DialectProfile, as_comment
 from repro.sql.parse import DdlParseError, ParseResult, parse_ddl
-from repro.sql.pseudo import as_comment, render_constraint, render_select
 
 
 def generate_sql(result_or_schema, dialect: str = "sql2") -> str:
@@ -24,7 +23,7 @@ def generate_sql(result_or_schema, dialect: str = "sql2") -> str:
         schema = result_or_schema.relational
         pseudo_constraints = tuple(result_or_schema.pseudo_constraints)
     if dialect == "pseudo":
-        blocks = [render_constraint(c) for c in schema.constraints]
+        blocks = [c.render() for c in schema.constraints]
         blocks.extend(f"{p.name}:\n{p.text}" for p in pseudo_constraints)
         return "\n\n".join(blocks) + "\n"
     profile = PROFILES.get(dialect.lower())
@@ -50,6 +49,4 @@ __all__ = [
     "as_comment",
     "generate_sql",
     "parse_ddl",
-    "render_constraint",
-    "render_select",
 ]

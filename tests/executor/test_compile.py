@@ -6,10 +6,7 @@ the query shapes (guards, grouping, negation wrapping) the backends
 and the parity property tests rely on.
 """
 
-import pytest
-
-from repro.executor import CompiledRule, RULE_KINDS, compile_rules
-from repro.executor.compile import sql_predicate, view_aliases
+from repro.executor import compile_rules
 from repro.mapper import MappingOptions, SublinkPolicy, map_schema
 from repro.relational.predicates import (
     Compare,
@@ -19,6 +16,7 @@ from repro.relational.predicates import (
     NotNull,
     Or,
 )
+from repro.robustness import MUTATOR_KINDS
 
 
 def rules_by_kind(schema, options=None):
@@ -50,13 +48,13 @@ class TestRuleInventory:
         assert rule.relation == "Paper"
 
     def test_every_kind_is_declared(self, cris):
+        # A rule's kind is its constraint class's, and some mutator
+        # targets it.
+        targeted = {kind for kinds in MUTATOR_KINDS.values() for kind in kinds}
         for rules in rules_by_kind(cris).values():
             for rule in rules:
-                assert rule.kind in RULE_KINDS
-
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown rule kind"):
-            CompiledRule("X", "bogus", "R", "SELECT 1")
+                assert rule.kind == type(rule.constraint).kind
+                assert rule.kind in targeted
 
 
 class TestQueryShapes:
@@ -64,7 +62,7 @@ class TestQueryShapes:
         for rule in rules_by_kind(fig6)["not-null"]:
             assert rule.sql == (
                 f"SELECT * FROM {rule.relation} "
-                f"WHERE {rule.column} IS NULL"
+                f"WHERE {rule.constraint.column} IS NULL"
             )
 
     def test_keys_group_and_guard_nulls(self, cris):
@@ -99,28 +97,23 @@ class TestQueryShapes:
 
 class TestSqlPredicate:
     def test_comparisons_collapse_unknown_to_false(self):
-        sql = sql_predicate(Compare("flag", "=", "Y"))
+        sql = Compare("flag", "=", "Y").sql()
         assert sql == "COALESCE(( flag = 'Y' ), FALSE)"
 
     def test_in_values_collapse_unknown_to_false(self):
-        sql = sql_predicate(InValues("grade", ("A", "B")))
+        sql = InValues("grade", ("A", "B")).sql()
         assert sql == "COALESCE(( grade IN ('A', 'B') ), FALSE)"
 
     def test_null_tests_are_rendered_verbatim(self):
-        assert sql_predicate(IsNull("x")) == "( x IS NULL )"
-        assert sql_predicate(NotNull("x")) == "( x IS NOT NULL )"
+        assert IsNull("x").sql() == "( x IS NULL )"
+        assert NotNull("x").sql() == "( x IS NOT NULL )"
 
     def test_connectives_nest(self):
-        sql = sql_predicate(
-            Or((Not(IsNull("a")), Compare("b", ">", 1)))
-        )
+        sql = Or((Not(IsNull("a")), Compare("b", ">", 1))).sql()
         assert sql == (
             "( ( NOT ( a IS NULL ) ) "
             "OR COALESCE(( b > 1 ), FALSE) )"
         )
-
-    def test_view_aliases_are_positional(self):
-        assert view_aliases(3) == ("v1", "v2", "v3")
 
 
 class TestRuleDependencyRelations:

@@ -28,7 +28,6 @@ from repro.relational.schema import (
     Relation,
     RelationalSchema,
 )
-from repro.sql.pseudo import render_constraint
 
 GUARD = re.compile(r"\w+ IS NOT NULL")
 
@@ -48,7 +47,7 @@ class TestGuardAgreement:
             for rule in compile_rules(mapped)
         }
         for constraint in mapped.view_constraints():
-            pseudo_guards = set(GUARD.findall(render_constraint(constraint)))
+            pseudo_guards = set(GUARD.findall(constraint.render()))
             checker_guards = set(
                 GUARD.findall(compiled[constraint.name].sql)
             )
@@ -57,7 +56,7 @@ class TestGuardAgreement:
     def test_nullable_columns_get_no_not_null_rule(self, mapped):
         rules = compile_rules(mapped)
         guarded = {
-            (rule.relation, rule.column)
+            (rule.relation, rule.constraint.column)
             for rule in rules
             if rule.kind == "not-null"
         }

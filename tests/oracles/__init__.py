@@ -10,7 +10,9 @@ value-level canonicalizer and generator (``mapper.value_canonicalize``,
 query workload on a materialized design
 (``mapper.materialized_workload_cost``), the ``row.get`` reference
 checker and full-reload detection matrix, and the ``isinstance``
-chain of a compiled rule's dependency relations (``executor``).
+chain of a compiled rule's dependency relations (``executor``), and
+the per-kind ``isinstance`` ladders that rendered constraints and
+compiled their checker SQL (``constraints``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

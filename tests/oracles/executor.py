@@ -5,7 +5,9 @@ C-speed checking kernels and the one-row delta replay, kept as it was
 (the matrix loop without its trace counter):
 
 - :class:`ScanDatabase` keeps :class:`Database`'s ``row.get`` scans
-  for the view sides, NOT NULL, keys and foreign keys;
+  for the view sides, NOT NULL, keys and foreign keys, and its own
+  copy of ``check()``'s ``isinstance`` dispatch over the per-kind
+  ``_check_*`` bodies, from before each constraint reported itself;
 - :func:`run_rule` is the in-memory backend's rule interpreter over
   those scans;
 - :func:`full_reload_matrix` replays every injection by reloading its
@@ -31,6 +33,7 @@ from repro.executor.backends import Violation, _sample
 from repro.executor.harness import MatrixRow, load_dataset
 from repro.relational.constraints import (
     CandidateKey,
+    CheckConstraint,
     EqualityViewConstraint,
     ForeignKey,
     PrimaryKey,
@@ -53,6 +56,23 @@ class ScanDatabase(Database):
         """The tuple set denoted by one side of a view constraint."""
         matched = select_rows(self._tables[spec.relation], spec.where)
         return set(project(matched, spec.columns, distinct=True))
+
+    def check(self) -> list[IntegrityViolation]:
+        """Every constraint violation in the current state."""
+        violations: list[IntegrityViolation] = []
+        violations.extend(self._check_not_null())
+        for constraint in self.schema.constraints:
+            if isinstance(constraint, (PrimaryKey, CandidateKey)):
+                violations.extend(self._check_key(constraint))
+            elif isinstance(constraint, ForeignKey):
+                violations.extend(self._check_foreign_key(constraint))
+            elif isinstance(constraint, CheckConstraint):
+                violations.extend(self._check_check(constraint))
+            elif isinstance(constraint, EqualityViewConstraint):
+                violations.extend(self._check_equality_view(constraint))
+            elif isinstance(constraint, SubsetViewConstraint):
+                violations.extend(self._check_subset_view(constraint))
+        return violations
 
     def _check_not_null(self) -> list[IntegrityViolation]:
         violations = []
@@ -122,6 +142,46 @@ class ScanDatabase(Database):
                 )
         return violations
 
+    def _check_check(self, constraint: CheckConstraint) -> list[IntegrityViolation]:
+        return [
+            IntegrityViolation(
+                constraint.name,
+                f"row {row!r} fails {constraint.predicate.render()}",
+            )
+            for row in self._tables[constraint.relation]
+            if not constraint.predicate.evaluate(row)
+        ]
+
+    def _check_equality_view(
+        self, constraint: EqualityViewConstraint
+    ) -> list[IntegrityViolation]:
+        left = self.evaluate_select(constraint.left)
+        right = self.evaluate_select(constraint.right)
+        if left == right:
+            return []
+        return [
+            IntegrityViolation(
+                constraint.name,
+                f"view sets differ: only-left={sorted(left - right, key=repr)!r} "
+                f"only-right={sorted(right - left, key=repr)!r}",
+            )
+        ]
+
+    def _check_subset_view(
+        self, constraint: SubsetViewConstraint
+    ) -> list[IntegrityViolation]:
+        subset = self.evaluate_select(constraint.subset)
+        superset = self.evaluate_select(constraint.superset)
+        stray = subset - superset
+        if not stray:
+            return []
+        return [
+            IntegrityViolation(
+                constraint.name,
+                f"tuples {sorted(stray, key=repr)!r} are not in the superset view",
+            )
+        ]
+
 
 def run_rule(database: Database, rule) -> Violation | None:
     """``MemoryBackend.run_rule`` before the kernels (pass a
@@ -134,7 +194,7 @@ def run_rule(database: Database, rule) -> Violation | None:
         bad = [
             row
             for row in database.iter_rows(rule.relation)
-            if row.get(rule.column) is None
+            if row.get(rule.constraint.column) is None
         ]
     elif rule.kind in ("primary-key", "candidate-key"):
         bad = duplicates(

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cris import cris_schema
-from repro.mapper import MappingOptions, map_schema
+from repro.cris import cris_schema, figure6_schema
+from repro.mapper import MappingOptions, SublinkPolicy, map_schema
 from repro.sql import DdlEmitter, PROFILES
 from repro.sql.parse import (
     DdlParseError,
@@ -157,6 +157,29 @@ class TestPredicates:
     def test_bad_predicate_reports_line(self):
         with pytest.raises(DdlParseError):
             parse_predicate("A FROB 3", line=7)
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_comparison_with_null_is_rejected(self, op):
+        # SQL finds `A <> NULL` unknown on every row, where the
+        # engine's two-valued evaluation would call it true.
+        with pytest.raises(DdlParseError, match=r"use IS \[NOT\] NULL") as caught:
+            parse_predicate(f"( A {op} NULL )", line=7)
+        assert caught.value.line == 7
+
+    def test_null_comparison_in_ddl_reports_its_line(self):
+        ddl = emitted(
+            figure6_schema(),
+            MappingOptions(sublink_policy=SublinkPolicy.TOGETHER),
+        )
+        lines = ddl.splitlines(keepends=True)
+        (index,) = [
+            i for i, line in enumerate(lines)
+            if line.startswith("      ( ( ( Paper_ProgramId_with IS NULL )")
+        ]
+        lines[index] = "      ( Session_comprising <> NULL )\n"
+        with pytest.raises(DdlParseError, match="Session_comprising <> NULL") as caught:
+            parse_ddl("".join(lines), "sql2")
+        assert caught.value.line == index + 1
 
 
 class TestErrors:

@@ -14,7 +14,7 @@ from repro.relational import (
     SelectSpec,
     SubsetViewConstraint,
 )
-from repro.sql import PROFILES, as_comment, render_constraint
+from repro.sql import PROFILES, as_comment
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +49,20 @@ class TestSybase:
 
 class TestPseudoRenderers:
     def test_primary_key_rendering(self):
-        text = render_constraint(
+        text = (
             PrimaryKey("C_KEY$_1", relation="Paper", columns=("Paper_Id",))
-        )
+        ).render()
         assert "PRIMARY KEY ( Paper_Id )" in text
         assert "CONSTRAINT C_KEY$_1" in text
 
     def test_candidate_key_rendering(self):
-        text = render_constraint(
+        text = (
             CandidateKey("C_KEY$_2", relation="Paper", columns=("A", "B"))
-        )
+        ).render()
         assert "UNIQUE ( A, B )" in text
 
     def test_foreign_key_rendering(self):
-        text = render_constraint(
+        text = (
             ForeignKey(
                 "C_FKEY$_1",
                 relation="Sub",
@@ -70,23 +70,23 @@ class TestPseudoRenderers:
                 referenced_relation="Super",
                 referenced_columns=("K",),
             )
-        )
+        ).render()
         assert "FOREIGN KEY Sub ( K )" in text
         assert "REFERENCES Super ( K )" in text
 
     def test_check_rendering_carries_comment(self):
-        text = render_constraint(
+        text = (
             CheckConstraint(
                 "C_DE$_1",
                 relation="R",
                 predicate=NotNull("a"),
                 comment="Dependent Existence",
             )
-        )
+        ).render()
         assert "CHECK( -- Dependent Existence" in text
 
     def test_equality_view_rendering_matches_paper_layout(self):
-        text = render_constraint(
+        text = (
             EqualityViewConstraint(
                 "C_EQ$_3",
                 left=SelectSpec("Program_Paper", ("Paper_ProgramId",)),
@@ -96,7 +96,7 @@ class TestPseudoRenderers:
                     where=NotNull("Paper_ProgramId_Is"),
                 ),
             )
-        )
+        ).render()
         lines = text.splitlines()
         assert lines[0] == "EQUALITY VIEW CONSTRAINT :"
         assert "( SELECT Paper_ProgramId" in lines[1]
@@ -105,13 +105,13 @@ class TestPseudoRenderers:
         assert lines[-1] == "CONSTRAINT C_EQ$_3"
 
     def test_subset_view_rendering(self):
-        text = render_constraint(
+        text = (
             SubsetViewConstraint(
                 "C_SUB$_1",
                 subset=SelectSpec("A", ("x",)),
                 superset=SelectSpec("B", ("y",)),
             )
-        )
+        ).render()
         assert "SUBSET VIEW CONSTRAINT :" in text
         assert "IS CONTAINED IN" in text
 
