@@ -13,12 +13,14 @@ large constraint load (the same order of pages-per-table), and the
 "not a limit" claim holds by mapping a still larger schema.
 """
 
+from statistics import median
 from time import perf_counter
 
 import pytest
 
 from conftest import emit
 from repro.mapper import MappingOptions, SublinkPolicy, map_schema
+from repro.observability import Tracer, aggregate_spans
 from repro.workloads import SchemaShape, generate_schema
 
 LINES_PER_PAGE = 54
@@ -29,6 +31,16 @@ LINES_PER_PAGE = 54
 #: emitted JSON always records the before/after pair for the
 #: version-stamped index layer.
 PRE_INDEX_GUARDED_WALL_S = 2.811
+
+
+#: The guarded map's breakdown: each BENCH key and the span it reads.
+#: Reference resolution runs in the gate (referability) and the plan.
+PHASE_SPANS = {
+    "map_gate_wall_s": "mapper.gate",
+    "map_binary_wall_s": "phase:binary",
+    "map_plan_wall_s": "phase:plan",
+    "map_materialize_wall_s": "phase:materialize",
+}
 
 
 def calibration_time() -> float:
@@ -62,6 +74,26 @@ def industrial_schema():
     return generate_schema(INDUSTRIAL_SHAPE, seed=1989)
 
 
+def phase_walls(runs: int = 5) -> dict[str, float]:
+    """Median seconds per :data:`PHASE_SPANS` phase over traced runs.
+
+    Each run maps a freshly generated schema, so the analyzer memo and
+    the schema indexes start cold, as in a first map of a design.
+    """
+    samples: dict[str, list[float]] = {key: [] for key in PHASE_SPANS}
+    for _ in range(runs):
+        schema = generate_schema(INDUSTRIAL_SHAPE, seed=1989)
+        tracer = Tracer("industrial map")
+        with tracer.activate():
+            map_schema(
+                schema, MappingOptions(sublink_policy=SublinkPolicy.INDICATOR)
+            )
+        total_ms = {b["name"]: b["total_ms"] for b in aggregate_spans(tracer)}
+        for key, span_name in PHASE_SPANS.items():
+            samples[key].append(total_ms[span_name] / 1000)
+    return {key: median(values) for key, values in samples.items()}
+
+
 def test_industrial_mapping(benchmark, industrial_schema):
     result = benchmark(
         map_schema,
@@ -87,6 +119,7 @@ def test_industrial_mapping(benchmark, industrial_schema):
         MappingOptions(sublink_policy=SublinkPolicy.INDICATOR),
     )
     guarded_wall_s = perf_counter() - started
+    phases = phase_walls()
 
     stats = result.relational.stats()
     emit(
@@ -104,6 +137,8 @@ def test_industrial_mapping(benchmark, industrial_schema):
             f"guarded map_schema: {guarded_wall_s:.3f}s "
             f"(pre-index baseline {PRE_INDEX_GUARDED_WALL_S:.3f}s, "
             f"{PRE_INDEX_GUARDED_WALL_S / guarded_wall_s:.1f}x)",
+            "traced phases (median of 5): "
+            + ", ".join(f"{k} {v:.3f}s" for k, v in phases.items()),
         ],
         data={
             "tables": table_count,
@@ -114,6 +149,7 @@ def test_industrial_mapping(benchmark, industrial_schema):
             "guarded_map_schema_wall_s": round(guarded_wall_s, 4),
             "pre_index_guarded_map_schema_wall_s": PRE_INDEX_GUARDED_WALL_S,
             "calibration_s": round(calibration_time(), 4),
+            **{key: round(wall, 4) for key, wall in phases.items()},
         },
     )
 

@@ -23,7 +23,9 @@ A :class:`ReferenceScheme` is derived from constraints:
 A scheme is *grounded* when, transitively, it bottoms out in lexical
 types; grounded schemes can be *expanded* into a flat tuple of
 :class:`LexicalLeaf` — the LOT-typed legs that become relational
-attributes.
+attributes.  :class:`ReferenceResolver` grounds them with a semi-naive
+fix-point: after a first pass over every candidate, a pass re-expands
+only the schemes that read a type whose chosen expansion just changed.
 """
 
 from __future__ import annotations
@@ -189,6 +191,11 @@ class _Expansion:
         return (self.object_types_involved, self.physical_size)
 
 
+def _smallest(expansion: _Expansion) -> tuple:
+    """Order by cost, ties broken by scheme key (section 4.2.3)."""
+    return (expansion.cost, expansion.scheme.key)
+
+
 class ReferenceResolver:
     """Computes grounded reference schemes and their lexical expansions.
 
@@ -212,7 +219,8 @@ class ReferenceResolver:
 
     def grounded_schemes(self, type_name: str) -> list[ReferenceScheme]:
         """All grounded schemes of a type, cheapest first."""
-        return [e.scheme for e in self._expansions.get(type_name, [])]
+        expansions = self._expansions.get(type_name, [])
+        return [e.scheme for e in sorted(expansions, key=_smallest)]
 
     def is_referable(self, type_name: str) -> bool:
         """True when the type has at least one grounded scheme."""
@@ -249,38 +257,57 @@ class ReferenceResolver:
     # -- resolution ----------------------------------------------------
 
     def _resolve(self) -> None:
-        """Fix-point: ground schemes bottom-up from lexical types."""
-        candidates = {
-            t.name: candidate_schemes(self.schema, t.name)
-            for t in self.schema.object_types
-        }
-        changed = True
-        while changed:
-            changed = False
-            for type_name, schemes in candidates.items():
-                for scheme in schemes:
-                    expansion = self._try_expand(scheme)
-                    if expansion is None:
-                        continue
-                    stored = self._expansions.setdefault(type_name, [])
-                    for position, existing in enumerate(stored):
-                        if existing.scheme == scheme:
-                            if existing != expansion:
-                                # An inherited scheme whose supertype's
-                                # choice changed this iteration: refresh.
-                                stored[position] = expansion
-                                changed = True
-                            break
-                    else:
-                        stored.append(expansion)
-                        changed = True
-            self._choose()
+        """Semi-naive fix-point: ground schemes bottom-up from lexical types.
+
+        ``_try_expand`` reads only ``_chosen``, which changes between
+        passes, never within one.  So a scheme none of whose read types
+        moved (changed its chosen expansion) in the last pass expands
+        exactly as it did then, and re-trying it cannot change the
+        state: after the first pass, which tries every candidate, each
+        pass re-tries only the readers of the types that moved, in
+        candidate order, so every type's expansions keep their order.
+        """
+        order: list[ReferenceScheme] = []
+        readers: dict[str, set[int]] = {}
+        for object_type in self.schema.object_types:
+            for scheme in candidate_schemes(self.schema, object_type.name):
+                for read in self._reads(scheme):
+                    readers.setdefault(read, set()).add(len(order))
+                order.append(scheme)
+        pending = list(range(len(order)))
+        while pending:
+            changed: dict[str, None] = {}
+            for position in pending:
+                scheme = order[position]
+                expansion = self._try_expand(scheme)
+                if expansion is None:
+                    continue
+                stored = self._expansions.setdefault(scheme.owner, [])
+                for index, existing in enumerate(stored):
+                    if existing.scheme == scheme:
+                        if existing != expansion:
+                            # A type this scheme reads chose another
+                            # expansion last pass: refresh.
+                            stored[index] = expansion
+                            changed[scheme.owner] = None
+                        break
+                else:
+                    stored.append(expansion)
+                    changed[scheme.owner] = None
+            retry: set[int] = set()
+            for type_name in changed:
+                chosen = self._choose(type_name)
+                if chosen is not self._chosen.get(type_name):
+                    self._chosen[type_name] = chosen
+                    retry.update(readers.get(type_name, ()))
+            pending = sorted(retry)
         self._check_preferences()
 
-    def _already_expanded(self, type_name: str, scheme: ReferenceScheme) -> bool:
-        return any(
-            e.scheme == scheme for e in self._expansions.get(type_name, [])
-        )
+    def _reads(self, scheme: ReferenceScheme) -> tuple[str, ...]:
+        """The types whose chosen expansion ``_try_expand`` reads."""
+        if scheme.kind == "inherited":
+            return (self.schema.sublink(scheme.via_sublink).supertype,)
+        return scheme.targets
 
     def _try_expand(self, scheme: ReferenceScheme) -> _Expansion | None:
         if scheme.kind == "self":
@@ -318,20 +345,15 @@ class ReferenceResolver:
             size += target_expansion.physical_size
         return _Expansion(scheme, tuple(leaves), involved, size)
 
-    def _choose(self) -> None:
-        """Pick each type's expansion: preference first, else smallest."""
-        for type_name, expansions in self._expansions.items():
-            preferred_key = self.preferences.get(type_name)
-            if preferred_key is not None:
-                matching = [
-                    e for e in expansions if e.scheme.key == tuple(preferred_key)
-                ]
-                if matching:
-                    self._chosen[type_name] = matching[0]
-                    continue
-            self._chosen[type_name] = min(
-                expansions, key=lambda e: (e.cost, e.scheme.key)
-            )
+    def _choose(self, type_name: str) -> _Expansion:
+        """A type's expansion: the preferred one if grounded, else smallest."""
+        expansions = self._expansions[type_name]
+        preferred_key = self.preferences.get(type_name)
+        if preferred_key is not None:
+            for expansion in expansions:
+                if expansion.scheme.key == tuple(preferred_key):
+                    return expansion
+        return min(expansions, key=_smallest)
 
     def _check_preferences(self) -> None:
         """A requested scheme that never grounded is an engineering error."""

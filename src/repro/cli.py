@@ -116,6 +116,23 @@ class _Parser(argparse.ArgumentParser):
         raise RidlError(f"{self.prog}: {message}")
 
 
+def _integer_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
     parser = _Parser(
@@ -160,21 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
     advise_cmd.add_argument("schema", type=Path)
     advise_cmd.add_argument(
         "--workers",
-        type=int,
+        type=_integer_at_least(1),
         default=None,
         metavar="N",
         help="process-pool size (default: one per CPU; 1 = serial)",
     )
     advise_cmd.add_argument(
         "--top-k",
-        type=int,
+        type=_integer_at_least(1),
         default=5,
         metavar="K",
         help="how many ranked candidates to print (default 5)",
     )
     advise_cmd.add_argument(
         "--max-candidates",
-        type=int,
+        type=_integer_at_least(1),
         default=64,
         metavar="M",
         help="hard cap on the enumerated lattice (default 64)",
@@ -194,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     advise_cmd.add_argument(
         "--per-sublink",
-        type=int,
+        type=_integer_at_least(0),
         default=0,
         metavar="N",
         help="also vary the policy of up to N individual sublinks",
@@ -215,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     advise_cmd.add_argument(
         "--rows",
-        type=int,
+        type=_integer_at_least(1),
         default=10_000,
         metavar="N",
         help="assumed instances per object type (default 10000)",
@@ -291,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_cmd.add_argument(
         "--workers",
-        type=int,
+        type=_integer_at_least(1),
         default=None,
         metavar="N",
         help="advise pipeline process-pool size (1 = serial)",
     )
     profile_cmd.add_argument(
         "--top-k",
-        type=int,
+        type=_integer_at_least(1),
         default=15,
         metavar="K",
         help="how many aggregated spans to print (default 15)",
@@ -333,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option_arguments(reverse_cmd)
     reverse_cmd.add_argument(
         "--scale",
-        type=int,
+        type=_integer_at_least(0),
         default=0,
         metavar="ROWS",
         help="with --fixpoint: also run the empirical leg, validating "
@@ -371,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate_cmd.add_argument(
         "--scale",
-        type=int,
+        type=_integer_at_least(1),
         default=1000,
         metavar="ROWS",
         help="target relational row count for the generated "
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate_cmd.add_argument(
         "--check-workers",
-        type=int,
+        type=_integer_at_least(1),
         default=1,
         metavar="N",
         help="shard the compiled checker queries across N worker "

@@ -279,6 +279,9 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
 
     lossless: list[str] = []
     dropped_totals: list[str] = []
+    # The (subset, superset) pairs written so far: asking the schema
+    # would rebuild its constraint index after every add.
+    subset_pairs: set[tuple[RoleId, RoleId]] = set()
     for constraint in old_schema.constraints:
         rewritten = _rewrite_constraint(
             state, old_schema, constraint, sublink_name, subtype, anchor
@@ -287,6 +290,8 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
             dropped_totals.append(constraint.name)
             continue
         new_schema.add_constraint(rewritten)
+        if isinstance(rewritten, SubsetConstraint):
+            subset_pairs.add((rewritten.subset, rewritten.superset))
 
     # Lossless rules: anchors carry the membership set.
     if anchor is not None:
@@ -299,11 +304,12 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
         for role in moved_roles:
             if role in anchors or role == anchor:
                 continue
-            if not _subset_already(new_schema, role, anchor):
+            if (role, anchor) not in subset_pairs:
                 name = new_schema.fresh_name(f"LL_DE_{sublink_name}")
                 new_schema.add_constraint(
                     SubsetConstraint(name, subset=role, superset=anchor)
                 )
+                subset_pairs.add((role, anchor))
                 lossless.append(name)
 
     indicator_fact: str | None = None
@@ -385,12 +391,6 @@ def _replay_fact(fact: FactType, subtype: str, supertype: str) -> FactType:
         return role
 
     return FactType(fact.name, replay(fact.first), replay(fact.second))
-
-
-def _subset_already(schema: BinarySchema, sub: RoleId, sup: RoleId) -> bool:
-    return any(
-        c.subset == sub and c.superset == sup for c in schema.subsets()
-    )
 
 
 def _rewrite_constraint(

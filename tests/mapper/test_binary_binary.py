@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.brm import Population, RoleId, SchemaBuilder, char, numeric
+from repro.brm import (
+    Population,
+    RoleId,
+    SchemaBuilder,
+    SubsetConstraint,
+    char,
+    numeric,
+)
 from repro.errors import MappingError
 from repro.mapper import MappingOptions, MappingState, SublinkPolicy
 from repro.mapper.transformations import (
@@ -20,7 +27,7 @@ def make_state(schema, options=None):
     )
 
 
-def subtype_schema(*, total_roles=2):
+def subtype_schema(*, total_roles=2, optional=("presents",)):
     b = SchemaBuilder("s")
     b.nolot("Paper").nolot("PP")
     b.lot("Paper_Id", char(6)).lot("PP_Id", char(2))
@@ -30,7 +37,8 @@ def subtype_schema(*, total_roles=2):
     b.identifier("PP", "PP_Id")  # total role 1
     if total_roles >= 2:
         b.attribute("PP", "Session", fact="scheduled", total=True)
-    b.attribute("PP", "Person", fact="presents")  # optional
+    for fact in optional:
+        b.attribute("PP", "Person", fact=fact)  # optional
     return b.build()
 
 
@@ -126,6 +134,41 @@ class TestEliminateSublink:
         assert len(subsets) == 1
         assert subsets[0].subset == RoleId("presents", "with")
         assert subsets[0].superset == RoleId("PP_has_PP_Id", "with")
+
+    def test_existing_subset_to_anchor_is_kept_alone(self):
+        schema = subtype_schema()
+        schema.add_constraint(
+            SubsetConstraint(
+                "S1",
+                subset=RoleId("presents", "with"),
+                superset=RoleId("PP_has_PP_Id", "with"),
+            )
+        )
+        state = make_state(schema)
+        eliminate_sublink(state, "PP_IS_Paper")
+        subsets = state.schema.subsets()
+        assert [s.name for s in subsets] == ["S1"]
+        assert (subsets[0].subset, subsets[0].superset) == (
+            RoleId("presents", "with"),
+            RoleId("PP_has_PP_Id", "with"),
+        )
+        assert state.steps[-1].lossless_rules == ("LL_EE_PP_IS_Paper",)
+
+    def test_one_subset_rule_per_optional_role_in_role_order(self):
+        state = make_state(subtype_schema(optional=("presents", "reviews")))
+        eliminate_sublink(state, "PP_IS_Paper")
+        anchor = RoleId("PP_has_PP_Id", "with")
+        assert [
+            (s.name, s.subset, s.superset) for s in state.schema.subsets()
+        ] == [
+            ("LL_DE_PP_IS_Paper", RoleId("presents", "with"), anchor),
+            ("LL_DE_PP_IS_Paper_2", RoleId("reviews", "with"), anchor),
+        ]
+        assert state.steps[-1].lossless_rules == (
+            "LL_EE_PP_IS_Paper",
+            "LL_DE_PP_IS_Paper",
+            "LL_DE_PP_IS_Paper_2",
+        )
 
     def test_totality_on_subtype_dropped(self):
         state = make_state(subtype_schema())

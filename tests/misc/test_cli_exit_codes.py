@@ -144,3 +144,61 @@ class TestSessionModes:
         assert code == EXIT_OK
         assert (out_dir / "health.txt").exists()
         assert "OK" in (out_dir / "health.txt").read_text()
+
+
+#: Each numeric flag, the smallest value it accepts, and the command
+#: that takes it (``reverse`` runs its ``--scale`` leg under
+#: ``--fixpoint``, where 0 means "skip").
+NUMERIC_FLAGS = [
+    (["advise"], "--workers", 1),
+    (["advise"], "--top-k", 1),
+    (["advise"], "--max-candidates", 1),
+    (["advise"], "--per-sublink", 0),
+    (["advise"], "--rows", 1),
+    (["profile"], "--workers", 1),
+    (["profile"], "--top-k", 1),
+    (["validate"], "--scale", 1),
+    (["validate"], "--check-workers", 1),
+    (["reverse", "--fixpoint"], "--scale", 0),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, minimum",
+        NUMERIC_FLAGS,
+        ids=[f"{c[0]}{f}" for c, f, _ in NUMERIC_FLAGS],
+    )
+    @pytest.mark.parametrize("offset", [1, 11])
+    def test_value_below_minimum_exits_2(
+        self, capsys, schema_file, command, flag, minimum, offset
+    ):
+        value = str(minimum - offset)
+        argv = [command[0], str(schema_file), *command[1:], flag, value]
+        code, output = run(argv)
+        assert code == EXIT_USAGE
+        assert output.splitlines() == [
+            f"error: repro {command[0]}: argument {flag}: expected an "
+            f"integer >= {minimum}, got '{value}'"
+        ]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_integer_exits_2(self, schema_file):
+        code, output = run(["advise", str(schema_file), "--rows", "many"])
+        assert code == EXIT_USAGE
+        assert "argument --rows" in output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["advise", "--workers", "1", "--top-k", "1", "--max-candidates",
+             "1", "--per-sublink", "0", "--rows", "1"],
+            ["profile", "--workers", "1", "--top-k", "1"],
+            ["validate", "--scale", "1", "--check-workers", "1"],
+            ["reverse", "--fixpoint", "--scale", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_boundary_values_run(self, schema_file, argv):
+        code, _ = run([argv[0], str(schema_file), *argv[1:]])
+        assert code == EXIT_OK

@@ -13,6 +13,12 @@
   ``tests/brm/test_columnar.py`` asserts the two agree on validity
   (exact violation messages), ``facts_of`` and state equality after
   randomized mutation sequences.
+* :class:`NaiveReferenceResolver` keeps the naive reference-scheme
+  fix-point: every pass re-expands every candidate scheme and then
+  re-chooses every type.  ``tests/brm/test_reference_oracle.py``
+  asserts the semi-naive :class:`~repro.brm.reference.ReferenceResolver`
+  reaches the identical state (expansions in order, choices, and the
+  error text of an ungrounded preference).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.brm.constraints import (
 )
 from repro.brm.facts import FactType, RoleId
 from repro.brm.population import Population, Violation
+from repro.brm.reference import ReferenceResolver, candidate_schemes
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkType
 from repro.errors import PopulationError
@@ -687,3 +694,55 @@ def to_row(columnar: Population) -> RowPopulation:
     population._facts_version += 1
     population._objects_version += 1
     return population
+
+
+class NaiveReferenceResolver(ReferenceResolver):
+    """The naive fix-point the semi-naive resolver replaced.
+
+    Overrides both the loop and the chooser: inheriting the per-type
+    ``_choose`` would run the production code under test.
+    """
+
+    def _resolve(self) -> None:
+        """Fix-point: ground schemes bottom-up from lexical types."""
+        candidates = {
+            t.name: candidate_schemes(self.schema, t.name)
+            for t in self.schema.object_types
+        }
+        changed = True
+        while changed:
+            changed = False
+            for type_name, schemes in candidates.items():
+                for scheme in schemes:
+                    expansion = self._try_expand(scheme)
+                    if expansion is None:
+                        continue
+                    stored = self._expansions.setdefault(type_name, [])
+                    for position, existing in enumerate(stored):
+                        if existing.scheme == scheme:
+                            if existing != expansion:
+                                # An inherited scheme whose supertype's
+                                # choice changed this iteration: refresh.
+                                stored[position] = expansion
+                                changed = True
+                            break
+                    else:
+                        stored.append(expansion)
+                        changed = True
+            self._choose()
+        self._check_preferences()
+
+    def _choose(self) -> None:
+        """Pick each type's expansion: preference first, else smallest."""
+        for type_name, expansions in self._expansions.items():
+            preferred_key = self.preferences.get(type_name)
+            if preferred_key is not None:
+                matching = [
+                    e for e in expansions if e.scheme.key == tuple(preferred_key)
+                ]
+                if matching:
+                    self._chosen[type_name] = matching[0]
+                    continue
+            self._chosen[type_name] = min(
+                expansions, key=lambda e: (e.cost, e.scheme.key)
+            )
