@@ -11,7 +11,9 @@ state.
 
 The emitted ``BENCH_losslessness.json`` records the conceptual
 phases (generate, canonicalize, forward map), load/check/round-trip
-and injection-phase (plan plus matrix) wall times and rows/s;
+(and the round trip's fetch, backward and diff legs), map and compile,
+and injection-phase (plan plus matrix) wall times and rows/s, plus the
+share of the harness total outside every timed phase;
 ``scripts/check_bench_regression.py`` gates CI on the calibrated
 wall-time keys.
 """
@@ -36,6 +38,12 @@ SEED = 7
 #: Row target for the columnar forward-map kernel measurement.
 FORWARD_SCALE = 100_000
 
+#: The most of a harness run that may fall outside its timed phases
+#: (``ValidationReport.unattributed_s`` over ``total_s``).  Asserted
+#: at 2e4 rows, where the fixed per-run costs outside the phases are
+#: a few percent of the total; at 2e3 rows they reach 3-6%.
+MAX_UNATTRIBUTED_SHARE = 0.05
+
 #: The 1e6-row ceiling run takes minutes; it only executes when this
 #: environment variable is set (the scheduled CI leg and baseline
 #: regeneration), so the default benchmark job stays fast.  The
@@ -58,6 +66,9 @@ def calibration_time() -> float:
 
 @pytest.fixture(scope="module")
 def report(cris):
+    # Import the backend's driver first: a first ``import duckdb`` is
+    # not harness work, and would land in the unattributed remainder.
+    resolve_backend("auto").backend.close()
     started = perf_counter()
     validation = run_validation(
         cris, backend="auto", scale=SCALE, seed=SEED
@@ -72,6 +83,8 @@ def test_losslessness_at_scale(report):
     assert validation.round_trip_ok
     assert validation.matrix is not None and validation.matrix.diagonal
     assert validation.ok
+    unattributed_share = validation.unattributed_s / validation.total_s
+    assert 0 <= unattributed_share <= MAX_UNATTRIBUTED_SHARE
 
     load_rate = validation.rows_loaded / validation.load_s
     check_rate = validation.rows_loaded / validation.check_s
@@ -82,6 +95,8 @@ def test_losslessness_at_scale(report):
         [
             f"backend: {validation.backend_used} "
             f"(requested auto), seed {SEED}",
+            f"map: {validation.map_s:.3f}s, compile: "
+            f"{validation.compile_s:.3f}s",
             f"generate: {validation.generate_s:.3f}s, canonicalize: "
             f"{validation.canonicalize_s:.3f}s, forward: "
             f"{validation.forward_s:.3f}s",
@@ -89,11 +104,14 @@ def test_losslessness_at_scale(report):
             f"check: {sum(validation.rule_counts.values())} rules in "
             f"{validation.check_s:.3f}s ({check_rate:,.0f} rows/s)",
             f"round trip: {validation.round_trip_s:.3f}s "
-            f"({round_trip_rate:,.0f} rows/s), empty diff",
+            f"({round_trip_rate:,.0f} rows/s), empty diff: fetch "
+            f"{validation.fetch_s:.3f}s, backward "
+            f"{validation.backward_s:.3f}s, diff {validation.diff_s:.3f}s",
             f"matrix: {len(validation.matrix.rows)} injections, "
             f"diagonal; planned in {validation.plan_s:.3f}s, "
             f"replayed in {validation.matrix_s:.3f}s",
-            f"harness total: {total_wall_s:.3f}s",
+            f"harness total: {total_wall_s:.3f}s, "
+            f"{unattributed_share:.1%} outside the timed phases",
         ],
         data={
             "backend": validation.backend_used,
@@ -106,6 +124,12 @@ def test_losslessness_at_scale(report):
             "load_wall_s": round(validation.load_s, 4),
             "check_wall_s": round(validation.check_s, 4),
             "round_trip_wall_s": round(validation.round_trip_s, 4),
+            "fetch_wall_s": round(validation.fetch_s, 4),
+            "backward_wall_s": round(validation.backward_s, 4),
+            "diff_wall_s": round(validation.diff_s, 4),
+            "map_wall_s": round(validation.map_s, 4),
+            "compile_wall_s": round(validation.compile_s, 4),
+            "unattributed_share": round(unattributed_share, 4),
             "plan_wall_s": round(validation.plan_s, 4),
             "matrix_wall_s": round(validation.matrix_s, 4),
             "inject_wall_s": round(validation.plan_s + validation.matrix_s, 4),
@@ -174,8 +198,8 @@ def test_forward_map_wall_at_1e5(cris):
 )
 def test_ceiling_at_1e6(cris):
     """The full harness at the 1e6-row scale ceiling: chunked bulk
-    load, sharded check phase, delta-verified injection planning and
-    the delta-replay injection matrix."""
+    load, sharded check phase, injection planning by delta verdicts
+    and the delta-replay injection matrix."""
     started = perf_counter()
     validation = run_validation(
         cris, backend="auto", scale=SCALE_1E6, seed=SEED, check_workers=4
@@ -219,6 +243,13 @@ def test_ceiling_at_1e6(cris):
             "scale1e6_load_wall_s": round(validation.load_s, 4),
             "scale1e6_check_wall_s": round(validation.check_s, 4),
             "scale1e6_round_trip_wall_s": round(validation.round_trip_s, 4),
+            "scale1e6_fetch_wall_s": round(validation.fetch_s, 4),
+            "scale1e6_backward_wall_s": round(validation.backward_s, 4),
+            "scale1e6_diff_wall_s": round(validation.diff_s, 4),
+            "scale1e6_map_wall_s": round(validation.map_s, 4),
+            "scale1e6_unattributed_share": round(
+                validation.unattributed_s / validation.total_s, 4
+            ),
             "scale1e6_plan_wall_s": round(validation.plan_s, 4),
             "scale1e6_matrix_wall_s": round(validation.matrix_s, 4),
             "scale1e6_inject_wall_s": round(

@@ -27,7 +27,8 @@ rules and skip failed option phases, prints the health report, and
 exits with code 5 when the result is degraded.  Exit codes are
 distinct per failure class: 0 success, 1 analysis found the schema
 unmappable (or ``lint`` found errors, or ``reverse`` could not lift
-the DDL), 2 parse/usage errors, 3 analysis failures, 4 mapping
+the DDL), 2 parse/usage errors or a missing, unreadable or
+undecodable file, 3 analysis failures, 4 mapping
 failures, 5 degraded best-effort success (or ``validate`` falling
 back from an unavailable backend), 6 ``validate`` found the mapped
 state invalid — a rule violated on a valid population, a non-empty
@@ -64,6 +65,7 @@ counters (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -522,8 +524,26 @@ def _options_from(namespace: argparse.Namespace) -> MappingOptions:
     )
 
 
+def _read(path: Path) -> str:
+    """An input file's text (UTF-8, universal newlines).
+
+    Bytes that are not UTF-8 raise a :class:`RidlError` naming the file
+    and the line of the first bad byte; an unreadable path raises its
+    ``OSError``, which :func:`main` reports like a missing file.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise RidlError(
+            f"{path}: line {line}: not valid UTF-8 ({exc.reason})"
+        ) from None
+    return io.StringIO(text, newline=None).read()
+
+
 def _load(path: Path):
-    return parse(path.read_text())
+    return parse(_read(path))
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -545,7 +565,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
             # trace.
             if trace_path is not None:
                 _write_trace(tracer, trace_path, namespace.trace_format)
-    except FileNotFoundError as exc:
+    except BrokenPipeError:  # pragma: no cover - e.g. `| head`
+        return EXIT_OK
+    except OSError as exc:
+        # A missing, unreadable or mistyped path (a directory given
+        # for a file, an existing file given for --out).
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
     except AnalysisError as exc:
@@ -557,8 +581,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except RidlError as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
-    except BrokenPipeError:  # pragma: no cover - e.g. `| head`
-        return EXIT_OK
     return EXIT_USAGE  # pragma: no cover - argparse enforces the commands
 
 
@@ -627,7 +649,7 @@ def _run_profile(namespace: argparse.Namespace, out, tracer) -> int:
             schema, discover_space(schema), workers=namespace.workers
         )
     else:
-        source = namespace.schema.read_text()
+        source = _read(namespace.schema)
         lint_schema(
             parse(source), source=source, dialect=namespace.dialect
         )
@@ -688,7 +710,7 @@ def _run_reverse(namespace: argparse.Namespace, out) -> int:
         else:
             print(report.describe(), file=out)
         return EXIT_OK if report.ok else EXIT_INVALID
-    text = namespace.schema.read_text()
+    text = _read(namespace.schema)
     try:
         lifted = lift_ddl(text, namespace.dialect)
     except LiftError as exc:
@@ -776,7 +798,7 @@ def _split_codes(text: str | None) -> tuple[str, ...]:
 
 def _run_lint(namespace: argparse.Namespace, out) -> int:
     """The ``lint`` subcommand: 0 clean, 1 errors, 2 usage."""
-    source = namespace.schema.read_text()
+    source = _read(namespace.schema)
     schema = parse(source)
     try:
         report = lint_schema(

@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import partial
-from itertools import compress, count
-from operator import is_, itemgetter
+from itertools import compress, count, repeat
+from operator import eq, is_, itemgetter
 
 from repro.engine.query import Row, select_rows
 from repro.errors import EngineError, IntegrityViolation
@@ -27,7 +27,7 @@ from repro.relational.schema import RelationalSchema
 _is_null = partial(is_, None)
 
 
-def _key_tuples(rows: list[Row], columns: Sequence[str]) -> Iterator[tuple]:
+def _key_tuples(rows: Iterable[Row], columns: Sequence[str]) -> Iterator[tuple]:
     """Each row's ``columns`` values as one tuple, at C speed.
 
     Stored rows are complete dicts (every insert path fills absent
@@ -109,6 +109,14 @@ class Database:
         names = relation.attribute_names
         name_set = set(names)
         table = self._tables[relation_name]
+        rows = list(rows)
+        # The common case, checked at C speed: every row is a dict
+        # holding exactly the relation's attributes.
+        if all(map(isinstance, rows, repeat(dict))) and all(
+            map(eq, map(dict.keys, rows), repeat(name_set))
+        ):
+            table.extend(rows)
+            return
         for row in rows:
             if row.keys() != name_set:
                 unknown = set(row) - name_set
@@ -241,12 +249,25 @@ class Database:
         )
         return [(table[position], columns[index]) for position, index in found]
 
+    def key_counts(
+        self,
+        relation_name: str,
+        columns: Sequence[str],
+        where: Predicate | None = None,
+    ) -> Counter:
+        """How many rows hold each ``columns`` tuple, counting only the
+        rows satisfying ``where`` when it is given."""
+        rows: Iterable[Row] = self._tables[relation_name]
+        if where is not None:
+            rows = filter(where.evaluate, rows)
+        return Counter(_key_tuples(rows, columns))
+
     def duplicate_keys(
         self, relation_name: str, columns: Sequence[str]
     ) -> list[tuple[object, ...]]:
         """NULL-free key tuples held by more than one row, in order of
         first appearance."""
-        counts = Counter(_key_tuples(self._tables[relation_name], columns))
+        counts = self.key_counts(relation_name, columns)
         return [key for key, n in counts.items() if n > 1 and None not in key]
 
     def unmatched_rows(self, constraint: ForeignKey) -> list[Row]:

@@ -188,8 +188,7 @@ class MemoryBackend(Backend):
 
     def run_rule(self, rule: CompiledRule) -> Violation | None:
         # Read-only: the engine's checking kernels scan the live rows
-        # without copying them — the injection planner runs this
-        # checker for every candidate.
+        # without copying them.
         bad = rule.constraint.violating(self.database)
         if not bad:
             return None

@@ -49,10 +49,9 @@ class CompiledRule:
     def relations(self) -> frozenset[str]:
         """Every relation this rule's verdict depends on.
 
-        The incremental replay paths (injection matrix, delta
-        verifier) re-run a rule only when one of its dependency
-        relations changed; a rule whose dependencies are untouched
-        keeps its baseline verdict.
+        The injection matrix's incremental replay re-runs a rule only
+        when one of its dependency relations changed; a rule whose
+        dependencies are untouched keeps its baseline verdict.
         """
         return self.constraint.relations_used()
 

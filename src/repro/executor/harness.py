@@ -512,7 +512,7 @@ class ValidationReport:
     #: Rules skipped under ``prune_implied`` (rule name -> the proof
     #: the implication engine produced).  Empty when pruning is off.
     pruned_rules: dict[str, str] = field(default_factory=dict)
-    #: The injection phase: planning on the reference backend, and
+    #: The injection phase: planning by in-memory delta verdicts, and
     #: the detection matrix's replay.  Zero without ``inject``.
     plan_s: float = 0.0
     matrix_s: float = 0.0
@@ -521,6 +521,18 @@ class ValidationReport:
     generate_s: float = 0.0
     canonicalize_s: float = 0.0
     forward_s: float = 0.0
+    #: The rest of the run: mapping the schema, compiling its rules,
+    #: and the round trip's three legs (``round_trip_s`` is their
+    #: sum): the bulk read, the backward map, and the row diff plus
+    #: the population diff.  ``unattributed_s`` is ``total_s`` less
+    #: every timed phase.
+    map_s: float = 0.0
+    compile_s: float = 0.0
+    fetch_s: float = 0.0
+    backward_s: float = 0.0
+    diff_s: float = 0.0
+    total_s: float = 0.0
+    unattributed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -573,6 +585,13 @@ class ValidationReport:
                 "generate_s": round(self.generate_s, 6),
                 "canonicalize_s": round(self.canonicalize_s, 6),
                 "forward_s": round(self.forward_s, 6),
+                "map_s": round(self.map_s, 6),
+                "compile_s": round(self.compile_s, 6),
+                "fetch_s": round(self.fetch_s, 6),
+                "backward_s": round(self.backward_s, 6),
+                "diff_s": round(self.diff_s, 6),
+                "total_s": round(self.total_s, 6),
+                "unattributed_s": round(self.unattributed_s, 6),
                 "check_workers": self.check_workers,
             },
         }
@@ -588,6 +607,10 @@ class ValidationReport:
         ]
         if self.backend_note:
             lines.append(f"  note: {self.backend_note}")
+        lines.append(
+            f"  mapped in {self.map_s:.3f} s, "
+            f"compiled in {self.compile_s:.3f} s"
+        )
         lines.append(
             f"  generated in {self.generate_s:.3f} s, "
             f"canonicalized in {self.canonicalize_s:.3f} s, "
@@ -616,6 +639,11 @@ class ValidationReport:
             )
             + f" ({self.read_path} read)"
         )
+        lines.append(
+            f"    fetched in {self.fetch_s:.3f} s, "
+            f"mapped backward in {self.backward_s:.3f} s, "
+            f"diffed in {self.diff_s:.3f} s"
+        )
         if self.matrix is not None:
             lines.append(
                 f"  detection matrix: "
@@ -641,6 +669,10 @@ class ValidationReport:
                 f"  pruned {len(self.pruned_rules)} implied rule(s): "
                 + ", ".join(sorted(self.pruned_rules))
             )
+        lines.append(
+            f"  total {self.total_s:.3f} s, "
+            f"{self.unattributed_s:.3f} s outside the timed phases"
+        )
         lines.append(f"  result: {'OK' if self.ok else 'INVALID'}")
         return "\n".join(lines)
 
@@ -670,11 +702,16 @@ def run_validation(
     with _obs_span(
         "executor.validate", schema=schema.name, backend=backend, scale=scale
     ):
+        total_started = started = perf_counter()
         result = map_schema(schema, options or MappingOptions())
-        pruned = prunable_rules(result) if prune_implied else {}
-        rules = compile_rules(
-            result.relational, prune_implied=prune_implied, mapping=result
-        )
+        map_s = perf_counter() - started
+        started = perf_counter()
+        with _obs_span("executor.compile", schema=schema.name):
+            pruned = prunable_rules(result) if prune_implied else {}
+            rules = compile_rules(
+                result.relational, prune_implied=prune_implied, mapping=result
+            )
+        compile_s = perf_counter() - started
         canonical, generate_s, canonicalize_s = _canonical_state(
             schema, result, scale=scale, seed=seed
         )
@@ -698,12 +735,11 @@ def run_validation(
             valid_violations = tuple(sorted({v.rule for v in found}))
             check_s = perf_counter() - started
 
-            started = perf_counter()
             with _obs_span("executor.roundtrip", backend=runner.name):
-                round_trip_ok, diff, read_path = _round_trip(
+                round_trip_ok, diff, read_path, legs = _round_trip(
                     runner, result, database, canonical
                 )
-            round_trip_s = perf_counter() - started
+            fetch_s, backward_s, diff_s = legs
 
             matrix = None
             skipped: tuple[str, ...] = ()
@@ -736,6 +772,12 @@ def run_validation(
         rule_counts: dict[str, int] = {}
         for rule in rules:
             rule_counts[rule.kind] = rule_counts.get(rule.kind, 0) + 1
+        total_s = perf_counter() - total_started
+        round_trip_s = fetch_s + backward_s + diff_s
+        phases = (
+            map_s, compile_s, generate_s, canonicalize_s, forward_s,
+            load_s, check_s, round_trip_s, plan_s, matrix_s,
+        )
         return ValidationReport(
             schema=schema.name,
             backend_requested=resolved.requested,
@@ -760,6 +802,13 @@ def run_validation(
             generate_s=generate_s,
             canonicalize_s=canonicalize_s,
             forward_s=forward_s,
+            map_s=map_s,
+            compile_s=compile_s,
+            fetch_s=fetch_s,
+            backward_s=backward_s,
+            diff_s=diff_s,
+            total_s=total_s,
+            unattributed_s=total_s - sum(phases),
         )
 
 
@@ -780,7 +829,7 @@ def _canonical_state(
 
 def _round_trip(
     backend: Backend, result, database: Database, canonical: Population
-) -> tuple[bool, dict[str, int], str]:
+) -> tuple[bool, dict[str, int], str, tuple[float, float, float]]:
     """Query the loaded state back and diff it against the original.
 
     Every relation is bulk-read once as value columns
@@ -792,15 +841,21 @@ def _round_trip(
     The diff counts, per relation, the rows that changed across the
     backend boundary (symmetric difference of tuple sets); population
     differences are reported per type/fact under
-    ``<population:...>`` keys.  Returns ``(ok, diff, read_path)``.
+    ``<population:...>`` keys.  Returns ``(ok, diff, read_path, legs)``
+    with ``legs`` the seconds spent fetching, mapping backward and
+    diffing.
     """
     schema = database.schema
-    fetched = {
-        relation.name: backend.fetch_columns(
-            relation.name, relation.attribute_names
-        )
-        for relation in schema.relations
-    }
+    started = perf_counter()
+    with _obs_span("executor.fetch", backend=backend.name):
+        fetched = {
+            relation.name: backend.fetch_columns(
+                relation.name, relation.attribute_names
+            )
+            for relation in schema.relations
+        }
+    fetch_s = perf_counter() - started
+    started = perf_counter()
     read_path = backend.read_path or "native"
     diff: dict[str, int] = {}
     for relation in schema.relations:
@@ -824,12 +879,20 @@ def _round_trip(
         delta = len(database.tuple_set(relation.name) ^ readback)
         if delta:
             diff[relation.name] = delta
+    diff_s = perf_counter() - started
     if diff:
-        return False, diff, read_path
-    reconstructed = result.state_map.backward_columnar(
-        fetched, intern_like=canonical
-    )
-    population_diff = reconstructed.state_diff(canonical)
+        return False, diff, read_path, (fetch_s, 0.0, diff_s)
+    started = perf_counter()
+    with _obs_span("mapper.backward", schema=schema.name):
+        reconstructed = result.state_map.backward_columnar(
+            fetched, intern_like=canonical
+        )
+    backward_s = perf_counter() - started
+    started = perf_counter()
+    with _obs_span("brm.state_diff"):
+        population_diff = reconstructed.state_diff(canonical)
+    diff_s += perf_counter() - started
+    legs = (fetch_s, backward_s, diff_s)
     if population_diff:
         return (
             False,
@@ -838,5 +901,6 @@ def _round_trip(
                 for name, count in sorted(population_diff.items())
             },
             read_path,
+            legs,
         )
-    return True, {}, read_path
+    return True, {}, read_path, legs

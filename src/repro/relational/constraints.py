@@ -11,7 +11,7 @@ constraints* (equality / subset over SELECT expressions) are the
 specifications for application programmers (section 4.2.2).
 
 Each class is the one definition of its constraint kind.  It carries
-the kind's rule ``kind`` string and three faces:
+the kind's rule ``kind`` string and four faces:
 
 * :meth:`~RelationalConstraint.render` — the paper's pseudo-SQL house
   style, used verbatim by the map report and, prefixed with comment
@@ -37,12 +37,20 @@ the kind's rule ``kind`` string and three faces:
   tuples, empty exactly when the constraint holds;
 * :meth:`~RelationalConstraint.violating` — the same rows or tuples,
   computed by the in-memory engine's checking kernels, and
-  :meth:`~RelationalConstraint.check`, the engine's report of them.
+  :meth:`~RelationalConstraint.check`, the engine's report of them;
+* :meth:`~RelationalConstraint.delta_index` — the same verdict as a
+  :class:`DeltaIndex` built once over a database, which then judges
+  any one-row edit of it from per-side key counters, in time
+  independent of the relations' sizes (the injection planner's
+  candidates are such edits).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import chain, compress, filterfalse
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import IntegrityViolation, SchemaError
@@ -50,6 +58,90 @@ from repro.relational.predicates import Predicate
 
 if TYPE_CHECKING:  # the engine imports this module
     from repro.engine.database import Database
+
+Row = Mapping[str, object]
+
+#: One side of a delta index: a relation, the key one of its rows
+#: counts under on this side (None: the row counts for nothing), and
+#: how many rows of the indexed database count under each key.
+Side = tuple[str, Callable[[Row], Hashable], Counter]
+
+
+class DeltaIndex:
+    """A constraint's verdict on one database and on one-row edits of it.
+
+    ``bad(key, *counts)`` tells whether a key violates the constraint
+    given how many rows count under it on each side, and
+    ``violations`` is the number of bad keys in the indexed database.
+    An edit takes out at most one row and puts in at most one, so it
+    moves at most two keys per side: :meth:`violated_after` re-tests
+    just those against the counters and adds the difference to
+    ``violations``.  The counters are never written, since edits are
+    hypothetical.
+    """
+
+    __slots__ = ("sides", "bad", "violations")
+
+    def __init__(
+        self,
+        sides: tuple[Side, ...],
+        bad: Callable[..., bool],
+        violations: int,
+    ) -> None:
+        self.sides = sides
+        self.bad = bad
+        self.violations = violations
+
+    @property
+    def violated(self) -> bool:
+        """Whether the indexed database violates the constraint."""
+        return self.violations > 0
+
+    def violated_after(
+        self, relation: str, removed: Row | None, added: Row | None
+    ) -> bool:
+        """Whether the constraint is violated once ``removed`` is taken
+        out of ``relation`` and ``added`` put in (either may be None)."""
+        steps: dict[Hashable, list[int]] = {}
+        for position, (side_relation, key_of, _) in enumerate(self.sides):
+            if side_relation != relation:
+                continue
+            for row, step in ((removed, -1), (added, 1)):
+                if row is None:
+                    continue
+                key = key_of(row)
+                if key is not None:
+                    steps.setdefault(key, [0] * len(self.sides))[position] += step
+        violations = self.violations
+        for key, moved in steps.items():
+            before = [counts[key] for _, _, counts in self.sides]
+            after = [n + step for n, step in zip(before, moved)]
+            violations += self.bad(key, *after) - self.bad(key, *before)
+        return violations > 0
+
+
+def _row_verdicts(
+    relation: str, passes: Callable[[Row], bool], failing: int
+) -> DeltaIndex:
+    """The delta index of a row-level kind: the one bad key is a
+    failing verdict held by some row."""
+    return DeltaIndex(
+        ((relation, passes, Counter({False: failing})),),
+        lambda passed, n: not passed and n > 0,
+        int(failing > 0),
+    )
+
+
+def _projection(columns: tuple[str, ...]) -> Callable[[Row], tuple]:
+    """A row's ``columns`` values as one tuple, as the engine's
+    ``key_counts`` keys them."""
+    return lambda row: tuple(row.get(column) for column in columns)
+
+
+def _absent(counts: Counter, other: Counter) -> Iterator:
+    """The keys of ``counts`` that ``other`` lacks, found at C speed
+    without building a set."""
+    return filterfalse(other.__contains__, counts)
 
 
 @dataclass(frozen=True)
@@ -97,6 +189,11 @@ class RelationalConstraint:
         """The engine's report of the violations, for ``Database.check()``."""
         raise NotImplementedError
 
+    def delta_index(self, database: Database) -> DeltaIndex:
+        """The verdict of :meth:`violating` on ``database`` and on any
+        one-row edit of it, from key counters built once."""
+        raise NotImplementedError
+
 
 def _key_columns(name: str, columns: tuple[str, ...]) -> None:
     if not columns:
@@ -132,6 +229,14 @@ class NotNullConstraint(RelationalConstraint):
         return [
             row for row, _ in database.null_cells(self.relation, (self.column,))
         ]
+
+    def delta_index(self, database: Database) -> DeltaIndex:
+        column = self.column
+        return _row_verdicts(
+            self.relation,
+            lambda row: row.get(column) is not None,
+            len(self.violating(database)),
+        )
 
 
 @dataclass(frozen=True)
@@ -172,6 +277,18 @@ class _Key(RelationalConstraint):
 
     def violating(self, database: Database) -> list:
         return database.duplicate_keys(self.relation, self.columns)
+
+    def delta_index(self, database: Database) -> DeltaIndex:
+        counts = database.key_counts(self.relation, self.columns)
+        return DeltaIndex(
+            ((self.relation, _projection(self.columns), counts),),
+            lambda key, n: n > 1 and None not in key,
+            # Only the keys counted more than once reach Python.
+            sum(
+                None not in key
+                for key in compress(counts, map((1).__lt__, counts.values()))
+            ),
+        )
 
     def check(self, database: Database) -> list[IntegrityViolation]:
         return [
@@ -269,6 +386,24 @@ class ForeignKey(RelationalConstraint):
     def violating(self, database: Database) -> list:
         return database.unmatched_rows(self)
 
+    def delta_index(self, database: Database) -> DeltaIndex:
+        referencing = database.key_counts(self.relation, self.columns)
+        referenced = database.key_counts(
+            self.referenced_relation, self.referenced_columns
+        )
+        return DeltaIndex(
+            (
+                (self.relation, _projection(self.columns), referencing),
+                (
+                    self.referenced_relation,
+                    _projection(self.referenced_columns),
+                    referenced,
+                ),
+            ),
+            lambda key, n, matches: n > 0 and not matches and None not in key,
+            sum(None not in key for key in _absent(referencing, referenced)),
+        )
+
     def check(self, database: Database) -> list[IntegrityViolation]:
         return [
             IntegrityViolation(
@@ -318,6 +453,14 @@ class CheckConstraint(RelationalConstraint):
         evaluate = self.predicate.evaluate
         return [row for row in database.iter_rows(self.relation) if not evaluate(row)]
 
+    def delta_index(self, database: Database) -> DeltaIndex:
+        evaluate = self.predicate.evaluate
+        return _row_verdicts(
+            self.relation,
+            lambda row: bool(evaluate(row)),
+            len(self.violating(database)),
+        )
+
     def check(self, database: Database) -> list[IntegrityViolation]:
         return [
             IntegrityViolation(
@@ -345,6 +488,13 @@ class SelectSpec:
         if self.where is not None:
             used |= self.where.columns()
         return used
+
+    def key(self, row: Row) -> tuple | None:
+        """The tuple ``row`` contributes to this side, or None when it
+        fails the WHERE."""
+        if self.where is not None and not self.where.evaluate(row):
+            return None
+        return tuple(row.get(column) for column in self.columns)
 
     def render(self) -> list[str]:
         """The pseudo-SQL lines of this side as a parenthesized SELECT."""
@@ -418,6 +568,26 @@ class _View(RelationalConstraint):
         """Neutral output column names both sides' SQL is projected onto."""
         return tuple(f"v{i + 1}" for i in range(len(self.sides[0].columns)))
 
+    def _delta_index(
+        self,
+        database: Database,
+        bad: Callable[..., bool],
+        stray: Callable[[Counter, Counter], int],
+    ) -> DeltaIndex:
+        """Both sides' tuple counters; ``stray`` counts the bad tuples."""
+        counts = [
+            database.key_counts(spec.relation, spec.columns, spec.where)
+            for spec in self.sides
+        ]
+        return DeltaIndex(
+            tuple(
+                (spec.relation, spec.key, side)
+                for spec, side in zip(self.sides, counts)
+            ),
+            bad,
+            stray(*counts),
+        )
+
 
 @dataclass(frozen=True)
 class EqualityViewConstraint(_View):
@@ -460,6 +630,15 @@ class EqualityViewConstraint(_View):
         left = database.evaluate_select(self.left)
         right = database.evaluate_select(self.right)
         return sorted(left ^ right, key=repr)
+
+    def delta_index(self, database: Database) -> DeltaIndex:
+        return self._delta_index(
+            database,
+            lambda key, left, right: (left > 0) != (right > 0),
+            lambda left, right: sum(
+                1 for _ in chain(_absent(left, right), _absent(right, left))
+            ),
+        )
 
     def check(self, database: Database) -> list[IntegrityViolation]:
         left = database.evaluate_select(self.left)
@@ -505,6 +684,13 @@ class SubsetViewConstraint(_View):
         subset = database.evaluate_select(self.subset)
         superset = database.evaluate_select(self.superset)
         return sorted(subset - superset, key=repr)
+
+    def delta_index(self, database: Database) -> DeltaIndex:
+        return self._delta_index(
+            database,
+            lambda key, subset, superset: subset > 0 and not superset,
+            lambda subset, superset: sum(1 for _ in _absent(subset, superset)),
+        )
 
     def check(self, database: Database) -> list[IntegrityViolation]:
         stray = self.violating(database)

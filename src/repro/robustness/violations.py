@@ -26,10 +26,12 @@ overlap (a sub-relation's key columns are simultaneously its primary
 key, a foreign key source and one side of an equality view), so each
 mutator enumerates candidate mutation sites in a seeded deterministic
 order and the planner keeps the first candidate whose full-rule check
-flags the target rule *and nothing else*.  That check runs on the
-in-memory reference backend; the detection matrix then replays the
-accepted injections on the SQL backends, where diagonality is an
-empirical result rather than a construction.
+flags the target rule *and nothing else*.  That check is every rule's
+in-memory verdict, judged by its constraint's delta face
+(:meth:`~repro.relational.constraints.RelationalConstraint.delta_index`);
+the detection matrix then replays the accepted injections on the SQL
+backends, where diagonality is an empirical result rather than a
+construction.
 
 Every candidate is a one-row :class:`Delta` against the clean
 dataset — replace, append or delete one row of one relation — so
@@ -40,11 +42,13 @@ relation to try one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.brm.datatypes import DataTypeKind
+from repro.engine.database import Database
 from repro.observability.tracer import count as _obs_count
 from repro.observability.tracer import span as _obs_span
 from repro.relational.constraints import SelectSpec
@@ -384,6 +388,29 @@ MUTATORS: dict[str, Callable] = {
 }
 
 
+class _CleanDatabase(Database):
+    """The clean dataset as a read-only database whose key counters
+    are built once each.
+
+    Rules projecting the same columns share one counter: a primary
+    key and the foreign keys referencing it, or a view side over key
+    columns.  The counters live as long as the one verifier holding
+    this database.
+    """
+
+    def __init__(self, schema: RelationalSchema, baseline: Dataset) -> None:
+        super().__init__(schema)
+        for relation, rows in baseline.items():
+            self.load_rows(relation, rows)
+        self._counts: dict[tuple, Counter] = {}
+
+    def key_counts(self, relation_name, columns, where=None) -> Counter:
+        key = (relation_name, tuple(columns), where)
+        if key not in self._counts:
+            self._counts[key] = super().key_counts(relation_name, columns, where)
+        return self._counts[key]
+
+
 def default_verifier(
     schema: RelationalSchema,
     rules: tuple[CompiledRule, ...],
@@ -391,43 +418,30 @@ def default_verifier(
 ) -> Callable[[Delta], set[str]]:
     """A full-rule checker of one-row deltas against ``baseline``.
 
-    The clean database and its violation set are built once, on the
-    in-memory reference backend; ``baseline``'s rows are shared, not
-    copied, since checking never writes them.  Each delta is checked
-    on a fork that shares every table and splices the delta's row
-    (normalized as :meth:`Database.insert` would) into a copy of its
-    relation's row list.  Only the rules whose dependency relations
-    (:attr:`CompiledRule.relations`) include that relation are
-    re-run, over the whole mutated relation; every other rule sees
-    exactly the clean rows, so its baseline verdict carries over.
+    The clean database is built once (its rows shared with
+    ``baseline``, not copied, since nothing writes them), and every
+    rule's constraint indexes it once (:meth:`delta_index`).  A delta
+    fires each rule whose index reports a violation once the clean row
+    at ``delta.index`` is taken out and ``delta.row`` (normalized as
+    :meth:`Database.insert` would) put in; a rule that does not read
+    the delta's relation keeps its clean verdict.  No relation is
+    re-scanned per delta.
     """
-    from repro.engine.database import Database
-    from repro.executor.backends import MemoryBackend
-
-    clean = Database(schema)
-    for relation, rows in baseline.items():
-        clean.load_rows(relation, rows)
-    backend = MemoryBackend()
-    backend.database = clean
-    base_violations = {violation.rule for violation in backend.check(rules)}
-    backend.database = fork = Database(schema)
+    clean = _CleanDatabase(schema, baseline)
+    indexes = [(rule.name, rule.constraint.delta_index(clean)) for rule in rules]
 
     def verify(delta: Delta) -> set[str]:
         relation = delta.relation
-        affected = tuple(r for r in rules if relation in r.relations)
-        carried = {
-            r.name
-            for r in rules
-            if r.name in base_violations and relation not in r.relations
-        }
+        removed = added = None
+        if delta.index is not None:
+            removed = baseline[relation][delta.index]
         if delta.row is not None:
-            delta = replace(delta, row=clean.normalize(relation, delta.row))
-        fork._tables = {
-            **clean._tables,
-            relation: delta.splice(clean._tables[relation]),
+            added = clean.normalize(relation, delta.row)
+        return {
+            name
+            for name, index in indexes
+            if index.violated_after(relation, removed, added)
         }
-        fired = {violation.rule for violation in backend.check(affected)}
-        return fired | carried
 
     return verify
 

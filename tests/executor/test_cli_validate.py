@@ -128,7 +128,15 @@ class TestReportOutput:
              "--scale", "100", "--no-inject", "--trace", str(trace)]
         )
         assert code == EXIT_OK
-        assert "executor.validate" in trace.read_text()
+        (validate,) = [
+            span for span in json.loads(trace.read_text())["spans"]
+            if span["name"] == "executor.validate"
+        ]
+        phases = {span["name"]: span for span in validate["children"]}
+        assert "executor.compile" in phases
+        assert [
+            span["name"] for span in phases["executor.roundtrip"]["children"]
+        ] == ["executor.fetch", "mapper.backward", "brm.state_diff"]
 
     def test_trace_records_the_conceptual_phases(self, schema_file, tmp_path):
         trace = tmp_path / "trace.json"

@@ -14,7 +14,15 @@ same three checks:
   ``comment``, which the DDL never carries and the parser infers);
 - on the admitting population the injection planner accepts the
   kind's own mutator, and the injection it plans trips its own rule
-  and no other on every SQL backend.
+  and no other on every SQL backend;
+- the class's delta face (``delta_index``) agrees with the checker
+  query on both populations, finds the planned injection violating,
+  and judges deleting each row of the violating population as the
+  checker judges the remaining rows.  Two more fixtures, whose one
+  edit moves keys on both sides of the rule at once (a foreign key
+  into its own relation, a view whose two SELECTs read the same
+  relation), run the face and the planner's delta verifier against
+  the whole-relation oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -48,7 +56,10 @@ from repro.relational import (
     dependent_existence,
 )
 from repro.robustness import MUTATOR_KINDS, plan_injections
+from repro.robustness.violations import default_verifier
 from repro.sql import PROFILES, generate_sql, parse_ddl
+from tests.oracles.robustness import whole_relation_verifier
+from tests.robustness.test_delta_verdicts import candidates
 
 SQL_BACKENDS = [SqliteBackend] + ([DuckDBBackend] if duckdb_available() else [])
 
@@ -161,6 +172,35 @@ FIXTURES = {
 
 KINDS = sorted(FIXTURES)
 
+#: Fixtures whose one edit moves keys on both sides of the rule at
+#: once, for the delta face's shared arithmetic.
+SHARED_SIDE_FIXTURES = {
+    "self-foreign-key": Fixture(
+        ("R(a, parent?)",),
+        (
+            PrimaryKey("C_KEY$_1", "R", ("a",)),
+            ForeignKey("C_FKEY$_1", "R", ("parent",), "R", ("a",)),
+        ),
+        "C_FKEY$_1",
+        {"R": [{"a": 1, "parent": None}, {"a": 2, "parent": 1},
+               {"a": 3, "parent": 1}]},
+        {"R": [{"a": 1, "parent": None}, {"a": 2, "parent": 4}]},
+    ),
+    "same-relation-view": Fixture(
+        ("R(a, b?)",),
+        (
+            EqualityViewConstraint(
+                "C_EQ$_1",
+                left=SelectSpec("R", ("a",), NotNull("b")),
+                right=SelectSpec("R", ("b",), NotNull("b")),
+            ),
+        ),
+        "C_EQ$_1",
+        {"R": [{"a": 1, "b": 1}, {"a": 2, "b": None}]},
+        {"R": [{"a": 1, "b": 1}, {"a": 2, "b": 3}]},
+    ),
+}
+
 
 def rule_of(schema, fixture):
     (rule,) = [r for r in compile_rules(schema) if r.name == fixture.rule]
@@ -241,3 +281,52 @@ def test_own_mutator_trips_its_own_rule_only(kind):
         finally:
             backend.close()
         assert [row.detected for row in matrix.rows] == [(fixture.rule,)]
+
+
+def database_of(schema, dataset) -> Database:
+    database = Database(schema)
+    for relation, rows in dataset.items():
+        database.load_rows(relation, rows)
+    return database
+
+
+@pytest.mark.parametrize("name", KINDS + sorted(SHARED_SIDE_FIXTURES))
+def test_delta_face_judges_edits_like_the_checker(name):
+    fixture = {**FIXTURES, **SHARED_SIDE_FIXTURES}[name]
+    schema = fixture.schema()
+    rules = compile_rules(schema)
+    rule = rule_of(schema, fixture)
+    for state in ("admitting", "violating"):
+        dataset = getattr(fixture, state)
+        index = rule.constraint.delta_index(database_of(schema, dataset))
+        count = checker_count(SqliteBackend, schema, rule, dataset)
+        assert index.violated == (count > 0) == (state == "violating")
+
+    clean = fixture.admitting
+    index = rule.constraint.delta_index(database_of(schema, clean))
+    (injection,) = [
+        i for i in plan_injections(schema, rules, clean, seed=7)
+        if i.rule == fixture.rule
+    ]
+    delta = injection.delta
+    (removed,) = delta.removed(clean) or (None,)
+    assert index.violated_after(delta.relation, removed, delta.row)
+
+    index = rule.constraint.delta_index(database_of(schema, fixture.violating))
+    offending = 0
+    for relation, rows in fixture.violating.items():
+        for position, row in enumerate(rows):
+            rest = {
+                **fixture.violating,
+                relation: rows[:position] + rows[position + 1:],
+            }
+            still = checker_count(SqliteBackend, schema, rule, rest) > 0
+            assert index.violated_after(relation, row, None) == still, row
+            offending += not still
+    assert offending
+
+    for baseline in (fixture.admitting, fixture.violating):
+        verify = default_verifier(schema, rules, baseline)
+        oracle = whole_relation_verifier(schema, rules, baseline)
+        for delta in candidates(schema, rules, baseline):
+            assert verify(delta) == oracle(delta), delta

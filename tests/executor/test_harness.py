@@ -176,6 +176,31 @@ class TestReport:
             assert timings[key] > 0
         assert "canonicalized in" in report.render()
 
+    @pytest.mark.parametrize("inject", [True, False])
+    def test_phases_and_remainder_add_up_to_the_total(self, cris, inject):
+        report = run_validation(
+            cris, backend="sqlite", scale=300, seed=7, inject=inject
+        )
+        phases = (
+            "map_s", "compile_s", "generate_s", "canonicalize_s",
+            "forward_s", "load_s", "check_s", "fetch_s", "backward_s",
+            "diff_s", "plan_s", "matrix_s",
+        )
+        timed = sum(getattr(report, phase) for phase in phases)
+        assert report.unattributed_s >= 0
+        assert timed + report.unattributed_s == pytest.approx(
+            report.total_s, abs=1e-9
+        )
+        assert report.round_trip_s == pytest.approx(
+            report.fetch_s + report.backward_s + report.diff_s, abs=1e-12
+        )
+        for phase in ("map_s", "fetch_s", "backward_s", "diff_s", "total_s"):
+            assert getattr(report, phase) > 0
+        timings = report.as_dict()["timings"]
+        for key in phases + ("total_s", "unattributed_s"):
+            assert key in timings
+        assert "outside the timed phases" in report.render()
+
     def test_generated_population_is_freed_before_the_forward_map(
         self, cris, monkeypatch
     ):

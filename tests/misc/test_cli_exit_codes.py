@@ -202,3 +202,56 @@ class TestNumericFlags:
     def test_boundary_values_run(self, schema_file, argv):
         code, _ = run([argv[0], str(schema_file), *argv[1:]])
         assert code == EXIT_OK
+
+
+#: Every command that reads its input file, as argv after the path.
+READERS = [
+    ["analyze"],
+    ["map"],
+    ["lint"],
+    ["validate", "--scale", "50"],
+    ["advise"],
+    ["reverse"],
+    ["profile", "--pipeline", "lint"],
+]
+
+
+class TestUnreadableInput:
+    """A bad input path or file is a usage error: exit 2 and one
+    ``error:`` line naming the path, never a traceback."""
+
+    @staticmethod
+    def assert_one_error(capsys, output, *needles):
+        errors = [line for line in output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, output
+        for needle in needles:
+            assert needle in errors[0]
+        assert "Traceback" not in output + capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+    def test_undecodable_file_exits_2_with_its_line(
+        self, capsys, tmp_path, command
+    ):
+        path = tmp_path / "latin.ridl"
+        path.write_bytes(b"schema X\n\xff\xfe lot A char(3)\n")
+        code, output = run([command[0], str(path), *command[1:]])
+        assert code == EXIT_USAGE
+        self.assert_one_error(capsys, output, str(path), "line 2")
+
+    @pytest.mark.parametrize("command", READERS, ids=lambda argv: argv[0])
+    def test_directory_as_schema_exits_2(self, capsys, tmp_path, command):
+        code, output = run([command[0], str(tmp_path), *command[1:]])
+        assert code == EXIT_USAGE
+        self.assert_one_error(capsys, output, str(tmp_path))
+
+    def test_directory_as_trace_file_exits_2(self, capsys, schema_file, tmp_path):
+        code, output = run(["map", str(schema_file), "--trace", str(tmp_path)])
+        assert code == EXIT_USAGE
+        self.assert_one_error(capsys, output, str(tmp_path))
+
+    def test_existing_file_as_report_directory_exits_2(
+        self, capsys, schema_file
+    ):
+        code, output = run(["report", str(schema_file), "--out", str(schema_file)])
+        assert code == EXIT_USAGE
+        self.assert_one_error(capsys, output, str(schema_file))

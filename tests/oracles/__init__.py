@@ -12,7 +12,10 @@ query workload on a materialized design
 checker and full-reload detection matrix, and the ``isinstance``
 chain of a compiled rule's dependency relations (``executor``), and
 the per-kind ``isinstance`` ladders that rendered constraints and
-compiled their checker SQL (``constraints``).
+compiled their checker SQL (``constraints``), and the injection
+planner's whole-relation verifier, which re-ran every rule reading a
+candidate's relation on a spliced fork of the clean database
+(``robustness.whole_relation_verifier``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """
