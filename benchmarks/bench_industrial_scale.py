@@ -43,18 +43,28 @@ PHASE_SPANS = {
 }
 
 
-def calibration_time() -> float:
-    """Seconds for a fixed pure-Python workload on this machine.
+#: Timed loops per calibration; their median is the figure reported.
+CALIBRATION_LOOPS = 5
 
+
+def calibration_time() -> float:
+    """Seconds per loop of a fixed pure-Python workload on this machine.
+
+    The median of :data:`CALIBRATION_LOOPS` loops, so that one loop
+    slowed by a noisy neighbour does not move the calibrated ratios.
     ``scripts/check_bench_regression.py`` divides wall times by this
-    to compare runs across differently-powered machines.
+    to compare runs across differently-powered machines.  Every
+    benchmark module imports this one copy.
     """
-    started = perf_counter()
-    total = 0
-    for i in range(1_000_000):
-        total += i % 7
-    assert total > 0
-    return perf_counter() - started
+    samples = []
+    for _ in range(CALIBRATION_LOOPS):
+        started = perf_counter()
+        total = 0
+        for i in range(1_000_000):
+            total += i % 7
+        assert total > 0
+        samples.append(perf_counter() - started)
+    return median(samples)
 
 INDUSTRIAL_SHAPE = SchemaShape(
     entity_types=90,

@@ -2,7 +2,8 @@
 
 The lint engine is built to ride on the version-stamped caches: its
 analysis pass reuses the memoized ``analyze`` result, its redundancy
-rules reuse ``indexes_for``/``subset_graph_for``, and with a
+rules reuse ``indexes_for`` and the implication verdicts, which read
+the inclusion graph ``analyze`` already built, and with a
 precomputed :class:`MappingResult` the trace/sql/map passes are pure
 rule bodies.  The asserted bound: a **full** lint sweep (every rule,
 every artifact) over the 90-entity industrial schema, right after

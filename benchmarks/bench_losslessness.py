@@ -23,6 +23,7 @@ from time import perf_counter
 
 import pytest
 
+from bench_industrial_scale import calibration_time
 from conftest import emit
 from repro.executor import resolve_backend, run_validation
 from repro.mapper import MappingOptions, map_schema
@@ -54,14 +55,10 @@ SCALE_1E6_ENV = "BENCH_SCALE_1E6"
 SCALE_1E6 = 1_000_000
 
 
-def calibration_time() -> float:
-    """Seconds for a fixed pure-Python workload on this machine."""
-    started = perf_counter()
-    total = 0
-    for i in range(1_000_000):
-        total += i % 7
-    assert total > 0
-    return perf_counter() - started
+#: The 1e6-row round-trip ceiling, in calibration loops: 8.0 s at the
+#: ``calibration_s`` of the committed 1e6 block (0.0724 s), so it gates
+#: the same regression as the raw 8-second bound did, on any host.
+ROUND_TRIP_1E6_CEILING = 8.0 / 0.0724
 
 
 @pytest.fixture(scope="module")
@@ -205,12 +202,13 @@ def test_ceiling_at_1e6(cris):
         cris, backend="auto", scale=SCALE_1E6, seed=SEED, check_workers=4
     )
     total_wall_s = perf_counter() - started
+    calibration_s = calibration_time()
     assert validation.ok
     assert validation.rows_loaded >= SCALE_1E6
     # The columnar backward map's acceptance ceiling: a 1e6-row CRIS
-    # round trip on stdlib SQLite must stay under 8 seconds (it was
-    # ~39s row-at-a-time).
-    assert validation.round_trip_s < 8.0
+    # round trip on stdlib SQLite must stay under 8 seconds at the
+    # committed calibration (it was ~39s row-at-a-time).
+    assert validation.round_trip_s / calibration_s < ROUND_TRIP_1E6_CEILING
 
     load_rate = validation.rows_loaded / validation.load_s
     check_rate = validation.rows_loaded / validation.check_s
@@ -259,7 +257,7 @@ def test_ceiling_at_1e6(cris):
             "scale1e6_check_rows_per_s": round(check_rate, 1),
             "scale1e6_round_trip_rows_per_s": round(round_trip_rate, 1),
             "check_workers": validation.check_workers,
-            "calibration_s": round(calibration_time(), 4),
+            "calibration_s": round(calibration_s, 4),
         },
     )
 

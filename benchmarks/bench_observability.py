@@ -20,6 +20,7 @@ from time import perf_counter
 
 import pytest
 
+from bench_industrial_scale import calibration_time
 from conftest import emit
 from repro.mapper import MappingOptions, SublinkPolicy, map_schema
 from repro.observability import Tracer, aggregate_spans
@@ -50,17 +51,6 @@ ENABLED_BOUND = 0.05
 SLACK = 3.0
 
 REPEATS = 5
-
-
-def calibration_time() -> float:
-    """Seconds for a fixed pure-Python workload on this machine
-    (see ``scripts/check_bench_regression.py --wall-key``)."""
-    started = perf_counter()
-    total = 0
-    for i in range(1_000_000):
-        total += i % 7
-    assert total > 0
-    return perf_counter() - started
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,21 @@ works on the population-inclusion preorder induced by the schema:
 * a total role on T (single-item total union) makes pop(T) a subset
   of the role's population.
 
-An exclusion constraint empties every *common lower bound* of two of
-its items — any population included in two disjoint populations must
-be empty.  Forced emptiness then propagates downward through the
-inclusion preorder, across a fact type (one empty role empties the
-other), and through total unions (a type whose covering items are all
-empty is empty).  A forced-empty object type is an inconsistency; a
+This module holds the one graph of that preorder,
+:class:`InclusionGraph`, where every edge remembers the constraint or
+structural fact that justifies it, and the one emptiness solver,
+:func:`propagate_emptiness`, which closes a set of seeded empty nodes
+and composes a proof for each.  Both are shared with the implication
+pass (:mod:`repro.analyzer.implication`): the graph is memoized per
+schema version, and each pass brings its own seeds.
+
+Consistency seeds the solver with exclusions only: an exclusion
+constraint empties every *common lower bound* of two of its items —
+any population included in two disjoint populations must be empty.
+Forced emptiness then propagates downward through the inclusion
+preorder, across a fact type (one empty role empties the other), and
+through total unions (a type whose covering items are all empty is
+empty).  A forced-empty object type is an inconsistency; a
 forced-empty role is reported as a warning (the constraint can never
 be exercised).
 """
@@ -29,10 +38,14 @@ be exercised).
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.analyzer.cache import memoized_on_schema_version
 from repro.analyzer.diagnostics import Diagnostic, Severity
+from repro.analyzer.proofs import Proof, ProofStep
 from repro.brm.constraints import (
     ConstraintItem,
     EqualityConstraint,
@@ -72,6 +85,14 @@ def _render_node(node: Node) -> str:
     return f"object type {node[1]}"
 
 
+def _dedupe(steps) -> tuple[ProofStep, ...]:
+    """Steps deduplicated preserving first occurrence."""
+    seen: dict[ProofStep, None] = {}
+    for step in steps:
+        seen.setdefault(step)
+    return tuple(seen)
+
+
 @dataclass
 class ConsistencyResult:
     """Everything the solver derived."""
@@ -85,277 +106,325 @@ class ConsistencyResult:
         return not any(node[0] == "type" for node in self.forced_empty)
 
 
-class SubsetGraph:
-    """The population-inclusion preorder and emptiness implications.
+# ----------------------------------------------------------------------
+# The labeled population-inclusion graph
+# ----------------------------------------------------------------------
 
-    After building the raw edge sets the graph is condensed into its
-    strongly-connected components (equality constraints and mutual
-    subsets collapse into one component) and per-component
-    reachability bitmasks are precomputed, so :meth:`reaches` is an
-    O(1) bit test and :meth:`lower_bounds` a cached mask expansion
-    instead of a BFS per call.  Instances are immutable once built,
-    which is what lets :func:`subset_graph_for` share them across
-    repeated analyses of the same schema version.
+
+@dataclass(frozen=True)
+class _Edge:
+    """One inclusion ``source <= target`` with its justification."""
+
+    target: Node
+    statement: str
+    premise: str | None  # constraint name; None for structural facts
+
+    def step(self) -> ProofStep:
+        return ProofStep(self.statement, self.premise)
+
+
+def _inc(sub: Node, sup: Node, why: str) -> str:
+    return f"pop({_render_node(sub)}) <= pop({_render_node(sup)}): {why}"
+
+
+class InclusionGraph:
+    """The inclusion preorder with per-edge origins.
+
+    Every edge remembers *which* constraint or structural fact
+    justifies it, so path searches reconstruct proof chains and can
+    exclude one constraint's own edges (the implication test: does
+    the inclusion still hold without the constraint under test?).
+    Instances are read-only once built, apart from the lazily built
+    reverse adjacency and lower-bound cache, which is what lets
+    :func:`inclusion_graph_for` share one graph between the
+    consistency check and the implication pass.
     """
 
     def __init__(self, schema: BinarySchema) -> None:
-        self.schema = schema
-        # subset[x] = set of y with pop(x) <= pop(y)
-        self.subset: dict[Node, set[Node]] = {}
-        # empties[y] = set of x with: empty(y) implies empty(x)
-        self.empties: dict[Node, set[Node]] = {}
-        self._build()
-        self._condense()
+        self.edges: dict[Node, list[_Edge]] = {}
+        # empties[y] = [(x, statement, premise)]: empty(y) empties x.
+        self.empties: dict[Node, list[tuple[Node, str, str | None]]] = {}
+        self._lower_cache: dict[Node, dict[Node, tuple[ProofStep, ...]]] = {}
+        self._build(schema)
 
-    def _add_subset(self, sub: Node, sup: Node) -> None:
-        self.subset.setdefault(sub, set()).add(sup)
+    def _add_edge(
+        self, sub: Node, sup: Node, statement: str, premise: str | None
+    ) -> None:
+        self.edges.setdefault(sub, []).append(_Edge(sup, statement, premise))
         # Inclusion implies downward emptiness propagation.
-        self.empties.setdefault(sup, set()).add(sub)
+        self.empties.setdefault(sup, []).append((sub, statement, premise))
 
-    def _add_empty_implication(self, cause: Node, effect: Node) -> None:
-        self.empties.setdefault(cause, set()).add(effect)
-
-    def _build(self) -> None:
-        schema = self.schema
+    def _build(self, schema: BinarySchema) -> None:
         for fact in schema.fact_types:
             first, second = fact.role_ids
-            self._add_subset(_role_node(first), _type_node(fact.first.player))
-            self._add_subset(_role_node(second), _type_node(fact.second.player))
-            # A fact instance populates both roles: one empty role
-            # empties the whole fact type, hence the other role.
-            self._add_empty_implication(_role_node(first), _role_node(second))
-            self._add_empty_implication(_role_node(second), _role_node(first))
+            for role_id, player in (
+                (first, fact.first.player),
+                (second, fact.second.player),
+            ):
+                node = _role_node(role_id)
+                self._add_edge(
+                    node,
+                    _type_node(player),
+                    _inc(node, _type_node(player),
+                         "a role's population is included in its player's"),
+                    None,
+                )
+            both = (
+                f"one empty role of fact type {fact.name!r} empties the "
+                "other (every fact instance populates both roles)"
+            )
+            self.empties.setdefault(_role_node(first), []).append(
+                (_role_node(second), both, None)
+            )
+            self.empties.setdefault(_role_node(second), []).append(
+                (_role_node(first), both, None)
+            )
         for sublink in schema.sublinks:
             sub_type = _type_node(sublink.subtype)
             super_type = _type_node(sublink.supertype)
             link = _sublink_node(sublink.name)
-            self._add_subset(sub_type, super_type)
-            self._add_subset(link, sub_type)
-            self._add_subset(sub_type, link)
+            self._add_edge(
+                sub_type, super_type,
+                _inc(sub_type, super_type,
+                     f"subtype inclusion via sublink {sublink.name!r}"),
+                None,
+            )
+            equal = "a sublink's population equals its subtype's"
+            self._add_edge(link, sub_type, _inc(link, sub_type, equal), None)
+            self._add_edge(sub_type, link, _inc(sub_type, link, equal), None)
         for constraint in schema.constraints:
             if isinstance(constraint, SubsetConstraint):
-                self._add_subset(
-                    _item_node(constraint.subset), _item_node(constraint.superset)
+                sub = _item_node(constraint.subset)
+                sup = _item_node(constraint.superset)
+                self._add_edge(
+                    sub, sup,
+                    _inc(sub, sup, "declared subset"),
+                    constraint.name,
                 )
             elif isinstance(constraint, EqualityConstraint):
                 nodes = [_item_node(item) for item in constraint.items]
                 for left, right in itertools.combinations(nodes, 2):
-                    self._add_subset(left, right)
-                    self._add_subset(right, left)
+                    why = "declared equal"
+                    self._add_edge(
+                        left, right, _inc(left, right, why), constraint.name
+                    )
+                    self._add_edge(
+                        right, left, _inc(right, left, why), constraint.name
+                    )
             elif isinstance(constraint, TotalUnionConstraint):
                 if len(constraint.items) == 1:
-                    self._add_subset(
-                        _type_node(constraint.object_type),
-                        _item_node(constraint.items[0]),
+                    type_node = _type_node(constraint.object_type)
+                    item = _item_node(constraint.items[0])
+                    self._add_edge(
+                        type_node, item,
+                        _inc(type_node, item,
+                             "total role: every instance participates"),
+                        constraint.name,
                     )
 
-    def _condense(self) -> None:
-        """SCC-condense the subset edges and precompute reachability.
+    def find_path(
+        self, start: Node, goal: Node, *, exclude: str | None = None
+    ) -> tuple[ProofStep, ...] | None:
+        """A shortest inclusion chain ``start <= ... <= goal``.
 
-        Tarjan's algorithm (iterative, the schemas are deep enough to
-        overflow Python's recursion limit) emits components in reverse
-        topological order of the condensation: when a component
-        completes, every component it can reach already has its mask,
-        so ``reach_mask[c]`` is its own bit OR-ed with the masks of
-        its successor components.  ``pred_mask`` is the transpose.
+        Edges justified *only* by the ``exclude`` constraint are
+        unusable — the implication test must not assume the constraint
+        under test.  Returns the proof steps, or ``None``.
         """
-        nodes: set[Node] = set(self.empties)
-        for sub, sups in self.subset.items():
-            nodes.add(sub)
-            nodes.update(sups)
-        for effects in self.empties.values():
-            nodes.update(effects)
-
-        index_of: dict[Node, int] = {}
-        lowlink: dict[Node, int] = {}
-        on_stack: set[Node] = set()
-        stack: list[Node] = []
-        comp_of: dict[Node, int] = {}
-        members: list[tuple[Node, ...]] = []
-        reach_mask: list[int] = []
-        counter = itertools.count()
-
-        for root in nodes:
-            if root in index_of:
-                continue
-            # Each frame is (node, iterator over its successors).
-            work = [(root, iter(self.subset.get(root, ())))]
-            index_of[root] = lowlink[root] = next(counter)
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in index_of:
-                        index_of[successor] = lowlink[successor] = next(counter)
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append(
-                            (successor, iter(self.subset.get(successor, ())))
-                        )
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    comp = len(members)
-                    component: list[Node] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp_of[member] = comp
-                        component.append(member)
-                        if member == node:
-                            break
-                    mask = 1 << comp
-                    for member in component:
-                        for successor in self.subset.get(member, ()):
-                            succ_comp = comp_of.get(successor)
-                            if succ_comp is not None and succ_comp != comp:
-                                mask |= reach_mask[succ_comp]
-                    members.append(tuple(component))
-                    reach_mask.append(mask)
-
-        pred_mask = [1 << comp for comp in range(len(members))]
-        for comp, mask in enumerate(reach_mask):
-            bit = 1 << comp
-            target = mask & ~bit
-            while target:
-                low = target & -target
-                pred_mask[low.bit_length() - 1] |= bit
-                target ^= low
-
-        self._comp_of = comp_of
-        self._members = members
-        self._reach_mask = reach_mask
-        self._pred_mask = pred_mask
-        self._lower_bound_cache: dict[int, frozenset[Node]] = {}
-
-    def reaches(self, start: Node, goal: Node) -> bool:
-        """True when pop(start) <= pop(goal) follows from the schema."""
         if start == goal:
-            return True
-        start_comp = self._comp_of.get(start)
-        goal_comp = self._comp_of.get(goal)
-        if start_comp is None or goal_comp is None:
-            return False
-        return bool(self._reach_mask[start_comp] >> goal_comp & 1)
+            return ()
+        parent: dict[Node, tuple[Node, _Edge] | None] = {start: None}
+        queue: deque[Node] = deque((start,))
+        while queue:
+            node = queue.popleft()
+            for edge in self.edges.get(node, ()):
+                if exclude is not None and edge.premise == exclude:
+                    continue
+                if edge.target in parent:
+                    continue
+                parent[edge.target] = (node, edge)
+                if edge.target == goal:
+                    steps: list[ProofStep] = []
+                    cursor: Node = goal
+                    while True:
+                        entry = parent[cursor]
+                        if entry is None:
+                            break
+                        previous, used = entry
+                        steps.append(used.step())
+                        cursor = previous
+                    return tuple(reversed(steps))
+                queue.append(edge.target)
+        return None
 
-    def lower_bounds(self, node: Node) -> frozenset[Node]:
-        """All nodes whose population is included in ``node``'s."""
-        comp = self._comp_of.get(node)
-        if comp is None:
-            return frozenset((node,))
-        cached = self._lower_bound_cache.get(comp)
-        if cached is None:
-            bounds: set[Node] = set()
-            mask = self._pred_mask[comp]
-            while mask:
-                low = mask & -mask
-                bounds.update(self._members[low.bit_length() - 1])
-                mask ^= low
-            cached = frozenset(bounds)
-            self._lower_bound_cache[comp] = cached
-        return cached
+    @cached_property
+    def into(self) -> dict[Node, list[tuple[Node, _Edge]]]:
+        """The reverse adjacency: ``into[y]`` lists every ``(x, edge)``
+        with ``x <= y``, grouped by source in edge order (the order
+        decides which of several shortest chains a proof names)."""
+        into: dict[Node, list[tuple[Node, _Edge]]] = {}
+        for source, edges in self.edges.items():
+            for edge in edges:
+                into.setdefault(edge.target, []).append((source, edge))
+        return into
 
-    def has_intermediate(self, start: Node, goal: Node) -> bool:
-        """True when some third node ``n`` satisfies
-        pop(start) <= pop(n) <= pop(goal).
+    def lower_bound_paths(
+        self, node: Node
+    ) -> dict[Node, tuple[ProofStep, ...]]:
+        """Every ``x`` with ``pop(x) <= pop(node)``, with its chain.
 
-        O(1) on the condensation bitmasks: an intermediate exists
-        when the components reachable from ``start`` and reaching
-        ``goal`` overlap beyond the two endpoint nodes themselves.
+        Reverse BFS over the inclusion edges; the node itself is a
+        lower bound with an empty chain.  Cached per node (the
+        exclusion seeding probes the same items repeatedly).
         """
-        start_comp = self._comp_of.get(start)
-        goal_comp = self._comp_of.get(goal)
-        if start_comp is None or goal_comp is None:
-            return False
-        middle = self._reach_mask[start_comp] & self._pred_mask[goal_comp]
-        if middle & ~((1 << start_comp) | (1 << goal_comp)):
-            return True
-        if start_comp == goal_comp:
-            # A shared cycle: any third member is an intermediate.
-            size = len(self._members[start_comp])
-            return size > 2 if start != goal else size > 1
-        # Endpoint components on the path count when they hold a
-        # second node besides the endpoint itself.
-        return bool(
-            middle >> start_comp & 1
-            and len(self._members[start_comp]) > 1
-            or middle >> goal_comp & 1
-            and len(self._members[goal_comp]) > 1
-        )
-
-
-# Backwards-compatible alias for the pre-condensation class name.
-_InclusionGraph = SubsetGraph
+        cached = self._lower_cache.get(node)
+        if cached is not None:
+            return cached
+        paths: dict[Node, tuple[ProofStep, ...]] = {node: ()}
+        queue: deque[Node] = deque((node,))
+        while queue:
+            current = queue.popleft()
+            for source, edge in self.into.get(current, ()):
+                if source in paths:
+                    continue
+                paths[source] = (edge.step(),) + paths[current]
+                queue.append(source)
+        self._lower_cache[node] = paths
+        return paths
 
 
 @memoized_on_schema_version()
-def subset_graph_for(schema: BinarySchema) -> SubsetGraph:
-    """The (shared, read-only) subset graph for this schema version."""
-    return SubsetGraph(schema)
+def inclusion_graph_for(schema: BinarySchema) -> InclusionGraph:
+    """The (shared, read-only) inclusion graph for this schema version."""
+    return InclusionGraph(schema)
 
 
-def check_consistency(schema: BinarySchema) -> ConsistencyResult:
-    """Run the emptiness-propagation solver over the schema."""
-    graph = subset_graph_for(schema)
-    forced_empty: dict[Node, str] = {}
-    worklist: list[Node] = []
+# ----------------------------------------------------------------------
+# The emptiness solver
+# ----------------------------------------------------------------------
 
-    def mark(node: Node, reason: str) -> None:
-        if node not in forced_empty:
-            forced_empty[node] = reason
-            worklist.append(node)
 
-    # Seed: exclusion constraints empty every common lower bound of
-    # any two of their items.
+@dataclass(frozen=True)
+class Emptiness:
+    """Why one node's population is forced empty."""
+
+    proof: Proof
+    #: The one-step reason the consistency check reports.
+    reason: str
+
+
+def exclusion_seeds(
+    schema: BinarySchema, graph: InclusionGraph
+) -> Iterator[tuple[Node, Emptiness]]:
+    """Exclusion empties every common lower bound of two items."""
     for constraint in schema.exclusions():
         nodes = [_item_node(item) for item in constraint.items]
         for left, right in itertools.combinations(nodes, 2):
-            common = graph.lower_bounds(left) & graph.lower_bounds(right)
+            left_paths = graph.lower_bound_paths(left)
+            right_paths = graph.lower_bound_paths(right)
+            common = sorted(left_paths.keys() & right_paths.keys(), key=repr)
+            if not common:
+                continue
+            disjoint = ProofStep(
+                f"pop({_render_node(left)}) and "
+                f"pop({_render_node(right)}) are disjoint",
+                constraint.name,
+            )
+            reason = (
+                f"included in both sides of exclusion {constraint.name!r} "
+                f"({_render_node(left)} vs {_render_node(right)})"
+            )
             for node in common:
-                mark(
-                    node,
-                    f"included in both sides of exclusion {constraint.name!r} "
-                    f"({_render_node(left)} vs {_render_node(right)})",
+                proof = Proof(
+                    f"pop({_render_node(node)}) is forced empty: "
+                    f"included in both sides of exclusion {constraint.name!r}",
+                    _dedupe(left_paths[node] + right_paths[node] + (disjoint,)),
                 )
+                yield node, Emptiness(proof, reason)
 
-    # Propagate to a fixed point.
+
+def propagate_emptiness(
+    schema: BinarySchema,
+    graph: InclusionGraph,
+    seeds: Iterable[tuple[Node, Emptiness]],
+) -> dict[Node, Emptiness]:
+    """Close the seeded emptiness over the schema, composing proofs.
+
+    The first seed of a node wins.  Emptiness then flows along
+    ``graph.empties`` (downward through inclusions, across fact
+    types) and through the total-union hyper-rule, to a fixed point.
+    """
+    empty: dict[Node, Emptiness] = {}
+    worklist: list[Node] = []
+    for node, emptiness in seeds:
+        if node not in empty:
+            empty[node] = emptiness
+            worklist.append(node)
     totals = [c for c in schema.totals() if len(c.items) > 1]
     while True:
         while worklist:
             node = worklist.pop()
-            for affected in graph.empties.get(node, ()):
-                mark(
-                    affected,
-                    f"population is forced empty because {_render_node(node)} "
-                    "is empty",
+            cause = empty[node].proof
+            reason = (
+                f"population is forced empty because {_render_node(node)} "
+                "is empty"
+            )
+            for affected, statement, premise in graph.empties.get(node, ()):
+                if affected in empty:
+                    continue
+                empty[affected] = Emptiness(
+                    cause.extended(
+                        f"pop({_render_node(affected)}) is forced empty "
+                        f"because pop({_render_node(node)}) is",
+                        ProofStep(statement, premise),
+                    ),
+                    reason,
                 )
-        # Hyper-rule: a total union whose items are all empty empties
-        # the constrained object type.
+                worklist.append(affected)
+        # Hyper-rule: a total union whose covering items are all empty
+        # empties the constrained object type.
         progressed = False
         for constraint in totals:
             type_node = _type_node(constraint.object_type)
-            if type_node in forced_empty:
+            if type_node in empty:
                 continue
-            if all(_item_node(item) in forced_empty for item in constraint.items):
-                mark(
-                    type_node,
-                    f"total union {constraint.name!r} covers only empty "
-                    "roles/subtypes",
+            item_nodes = [_item_node(item) for item in constraint.items]
+            if not all(node in empty for node in item_nodes):
+                continue
+            steps: list[ProofStep] = []
+            for node in item_nodes:
+                steps.extend(empty[node].proof.steps)
+            steps.append(
+                ProofStep(
+                    f"total union {constraint.name!r} covers "
+                    f"{constraint.object_type!r} with only empty items",
+                    constraint.name,
                 )
-                progressed = True
+            )
+            covers = (
+                f"total union {constraint.name!r} covers only empty "
+                "roles/subtypes"
+            )
+            empty[type_node] = Emptiness(
+                Proof(
+                    f"pop(object type {constraint.object_type}) is forced "
+                    f"empty: {covers}",
+                    _dedupe(steps),
+                ),
+                covers,
+            )
+            worklist.append(type_node)
+            progressed = True
         if not worklist and not progressed:
             break
+    return empty
 
+
+def check_consistency(schema: BinarySchema) -> ConsistencyResult:
+    """Run the emptiness solver over the schema, seeded by exclusions."""
+    graph = inclusion_graph_for(schema)
+    empty = propagate_emptiness(schema, graph, exclusion_seeds(schema, graph))
+    forced_empty = {node: emptiness.reason for node, emptiness in empty.items()}
     diagnostics = []
     for node, reason in sorted(forced_empty.items(), key=lambda kv: repr(kv[0])):
         if node[0] == "type":

@@ -1,9 +1,12 @@
 """The constraint implication & satisfiability engine.
 
 RIDL-A's consistency function (:mod:`repro.analyzer.consistency`)
-decides *whether* the set-algebraic constraints force populations
-empty; this module decides *why*, and goes further: a saturation pass
-over the full constraint vocabulary produces typed verdicts
+owns the population-inclusion graph and the emptiness solver, and
+seeds the solver with exclusions.  This pass reads the same graph
+(memoized per schema version) and runs the same solver, seeded with
+frequency, value and exclusion conflicts, and goes further: a
+saturation pass over the full constraint vocabulary produces typed
+verdicts
 
 * ``IMPLIED`` — a declared constraint already follows from the rest
   of the schema (subset/equality paths through the population-
@@ -29,24 +32,27 @@ per candidate design.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.analyzer.cache import memoized_on_schema_version
 from repro.analyzer.consistency import (
+    Emptiness,
     Node,
+    _dedupe,
     _item_node,
     _render_node,
     _role_node,
     _type_node,
+    exclusion_seeds,
+    inclusion_graph_for,
+    propagate_emptiness,
 )
 from repro.analyzer.proofs import Proof, ProofStep
 from repro.brm.constraints import (
     EqualityConstraint,
     FrequencyConstraint,
     SubsetConstraint,
-    TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
 )
@@ -136,194 +142,6 @@ class ImplicationResult:
         return None
 
 
-# ----------------------------------------------------------------------
-# The labeled population-inclusion graph
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Edge:
-    """One inclusion ``source <= target`` with its justification."""
-
-    target: Node
-    statement: str
-    premise: str | None  # constraint name; None for structural facts
-
-    def step(self) -> ProofStep:
-        return ProofStep(self.statement, self.premise)
-
-
-def _inc(sub: Node, sup: Node, why: str) -> str:
-    return f"pop({_render_node(sub)}) <= pop({_render_node(sup)}): {why}"
-
-
-class _LabeledGraph:
-    """The inclusion preorder with per-edge origins.
-
-    Unlike the condensed :class:`~repro.analyzer.consistency.\
-SubsetGraph` (bitmask reachability, no provenance), every edge here
-    remembers *which* constraint or structural fact justifies it, so
-    path searches reconstruct proof chains and can exclude one
-    constraint's own edges (the implication test: does the inclusion
-    still hold without the constraint under test?).
-    """
-
-    def __init__(self, schema: BinarySchema) -> None:
-        self.schema = schema
-        self.edges: dict[Node, list[_Edge]] = {}
-        # empties[y] = [(x, statement, premise)]: empty(y) empties x.
-        self.empties: dict[Node, list[tuple[Node, str, str | None]]] = {}
-        self._lower_cache: dict[Node, dict[Node, tuple[ProofStep, ...]]] = {}
-        self._build()
-
-    def _add_edge(
-        self, sub: Node, sup: Node, statement: str, premise: str | None
-    ) -> None:
-        self.edges.setdefault(sub, []).append(_Edge(sup, statement, premise))
-        # Inclusion implies downward emptiness propagation.
-        self.empties.setdefault(sup, []).append((sub, statement, premise))
-
-    def _build(self) -> None:
-        schema = self.schema
-        for fact in schema.fact_types:
-            first, second = fact.role_ids
-            for role_id, player in (
-                (first, fact.first.player),
-                (second, fact.second.player),
-            ):
-                node = _role_node(role_id)
-                self._add_edge(
-                    node,
-                    _type_node(player),
-                    _inc(node, _type_node(player),
-                         "a role's population is included in its player's"),
-                    None,
-                )
-            both = (
-                f"one empty role of fact type {fact.name!r} empties the "
-                "other (every fact instance populates both roles)"
-            )
-            self.empties.setdefault(_role_node(first), []).append(
-                (_role_node(second), both, None)
-            )
-            self.empties.setdefault(_role_node(second), []).append(
-                (_role_node(first), both, None)
-            )
-        for sublink in schema.sublinks:
-            sub_type = _type_node(sublink.subtype)
-            super_type = _type_node(sublink.supertype)
-            link = ("sublink", sublink.name)
-            self._add_edge(
-                sub_type, super_type,
-                _inc(sub_type, super_type,
-                     f"subtype inclusion via sublink {sublink.name!r}"),
-                None,
-            )
-            equal = "a sublink's population equals its subtype's"
-            self._add_edge(link, sub_type, _inc(link, sub_type, equal), None)
-            self._add_edge(sub_type, link, _inc(sub_type, link, equal), None)
-        for constraint in schema.constraints:
-            if isinstance(constraint, SubsetConstraint):
-                sub = _item_node(constraint.subset)
-                sup = _item_node(constraint.superset)
-                self._add_edge(
-                    sub, sup,
-                    _inc(sub, sup, "declared subset"),
-                    constraint.name,
-                )
-            elif isinstance(constraint, EqualityConstraint):
-                nodes = [_item_node(item) for item in constraint.items]
-                for left, right in itertools.combinations(nodes, 2):
-                    why = "declared equal"
-                    self._add_edge(
-                        left, right, _inc(left, right, why), constraint.name
-                    )
-                    self._add_edge(
-                        right, left, _inc(right, left, why), constraint.name
-                    )
-            elif isinstance(constraint, TotalUnionConstraint):
-                if len(constraint.items) == 1:
-                    type_node = _type_node(constraint.object_type)
-                    item = _item_node(constraint.items[0])
-                    self._add_edge(
-                        type_node, item,
-                        _inc(type_node, item,
-                             "total role: every instance participates"),
-                        constraint.name,
-                    )
-
-    def find_path(
-        self, start: Node, goal: Node, *, exclude: str | None = None
-    ) -> tuple[ProofStep, ...] | None:
-        """A shortest inclusion chain ``start <= ... <= goal``.
-
-        Edges justified *only* by the ``exclude`` constraint are
-        unusable — the implication test must not assume the constraint
-        under test.  Returns the proof steps, or ``None``.
-        """
-        if start == goal:
-            return ()
-        parent: dict[Node, tuple[Node, _Edge] | None] = {start: None}
-        queue: deque[Node] = deque((start,))
-        while queue:
-            node = queue.popleft()
-            for edge in self.edges.get(node, ()):
-                if exclude is not None and edge.premise == exclude:
-                    continue
-                if edge.target in parent:
-                    continue
-                parent[edge.target] = (node, edge)
-                if edge.target == goal:
-                    steps: list[ProofStep] = []
-                    cursor: Node = goal
-                    while True:
-                        entry = parent[cursor]
-                        if entry is None:
-                            break
-                        previous, used = entry
-                        steps.append(used.step())
-                        cursor = previous
-                    return tuple(reversed(steps))
-                queue.append(edge.target)
-        return None
-
-    def lower_bound_paths(
-        self, node: Node
-    ) -> dict[Node, tuple[ProofStep, ...]]:
-        """Every ``x`` with ``pop(x) <= pop(node)``, with its chain.
-
-        Reverse BFS over the inclusion edges; the node itself is a
-        lower bound with an empty chain.  Cached per node (the
-        exclusion seeding probes the same items repeatedly).
-        """
-        cached = self._lower_cache.get(node)
-        if cached is not None:
-            return cached
-        into: dict[Node, list[tuple[Node, _Edge]]] = {}
-        for source, edges in self.edges.items():
-            for edge in edges:
-                into.setdefault(edge.target, []).append((source, edge))
-        paths: dict[Node, tuple[ProofStep, ...]] = {node: ()}
-        queue: deque[Node] = deque((node,))
-        while queue:
-            current = queue.popleft()
-            for source, edge in into.get(current, ()):
-                if source in paths:
-                    continue
-                paths[source] = (edge.step(),) + paths[current]
-                queue.append(source)
-        self._lower_cache[node] = paths
-        return paths
-
-
-def _dedupe(steps) -> tuple[ProofStep, ...]:
-    """Steps deduplicated preserving first occurrence."""
-    seen: dict[ProofStep, None] = {}
-    for step in steps:
-        seen.setdefault(step)
-    return tuple(seen)
-
-
 def _role_subject(role_id: RoleId) -> str:
     return f"{role_id.fact}.{role_id.role}"
 
@@ -372,7 +190,7 @@ def check_implications(schema: BinarySchema) -> ImplicationResult:
 
 
 def _saturate(schema: BinarySchema) -> ImplicationResult:
-    graph = _LabeledGraph(schema)
+    graph = inclusion_graph_for(schema)
     verdicts: list[Verdict] = []
 
     freq_by_role: dict[RoleId, list[FrequencyConstraint]] = {}
@@ -395,22 +213,24 @@ def _saturate(schema: BinarySchema) -> ImplicationResult:
         )
     )
 
-    empty: dict[Node, Proof] = {}
-    worklist: list[Node] = []
+    # Frequency and value seeds, in conflict order; the consistency
+    # check never sees them, so the proof's conclusion is their reason.
+    seeds: list[tuple[Node, Emptiness]] = []
 
     def seed(node: Node, proof: Proof) -> None:
-        if node not in empty:
-            empty[node] = proof
-            worklist.append(node)
+        seeds.append((node, Emptiness(proof, proof.conclusion)))
 
     verdicts.extend(
         _frequency_conflicts(freq_by_role, unique_by_role, seed)
     )
     verdicts.extend(_value_conflicts(values_by_type, seed))
-    _exclusion_seeds(schema, graph, seed)
-    _propagate_emptiness(schema, graph, empty, worklist)
+    empty = propagate_emptiness(
+        schema, graph,
+        itertools.chain(seeds, exclusion_seeds(schema, graph)),
+    )
 
-    for node, proof in sorted(empty.items(), key=lambda kv: repr(kv[0])):
+    for node, emptiness in sorted(empty.items(), key=lambda kv: repr(kv[0])):
+        proof = emptiness.proof
         if node[0] == "type":
             verdicts.append(
                 Verdict(
@@ -737,82 +557,6 @@ def _value_conflicts(values_by_type, seed):
                     "value domain is empty",
                 ),
             )
-
-
-def _exclusion_seeds(schema, graph, seed):
-    """Exclusion empties every common lower bound of two items."""
-    for constraint in schema.exclusions():
-        nodes = [_item_node(item) for item in constraint.items]
-        for left, right in itertools.combinations(nodes, 2):
-            left_paths = graph.lower_bound_paths(left)
-            right_paths = graph.lower_bound_paths(right)
-            common = sorted(set(left_paths) & set(right_paths), key=repr)
-            for node in common:
-                disjoint = ProofStep(
-                    f"pop({_render_node(left)}) and "
-                    f"pop({_render_node(right)}) are disjoint",
-                    constraint.name,
-                )
-                seed(
-                    node,
-                    Proof(
-                        f"pop({_render_node(node)}) is forced empty: "
-                        "included in both sides of exclusion "
-                        f"{constraint.name!r}",
-                        _dedupe(
-                            left_paths[node] + right_paths[node]
-                            + (disjoint,)
-                        ),
-                    ),
-                )
-
-
-def _propagate_emptiness(schema, graph, empty, worklist):
-    """Close the seeded emptiness over the schema, composing proofs."""
-    totals = [c for c in schema.totals() if len(c.items) > 1]
-    while True:
-        while worklist:
-            node = worklist.pop()
-            cause = empty[node]
-            for affected, statement, premise in graph.empties.get(node, ()):
-                if affected in empty:
-                    continue
-                empty[affected] = cause.extended(
-                    f"pop({_render_node(affected)}) is forced empty "
-                    f"because pop({_render_node(node)}) is",
-                    ProofStep(statement, premise),
-                )
-                worklist.append(affected)
-        # Hyper-rule: a total union whose covering items are all empty
-        # empties the constrained object type.
-        progressed = False
-        for constraint in totals:
-            type_node = _type_node(constraint.object_type)
-            if type_node in empty:
-                continue
-            item_nodes = [_item_node(item) for item in constraint.items]
-            if not all(node in empty for node in item_nodes):
-                continue
-            steps: list[ProofStep] = []
-            for node in item_nodes:
-                steps.extend(empty[node].steps)
-            steps.append(
-                ProofStep(
-                    f"total union {constraint.name!r} covers "
-                    f"{constraint.object_type!r} with only empty items",
-                    constraint.name,
-                )
-            )
-            empty[type_node] = Proof(
-                f"pop(object type {constraint.object_type}) is forced "
-                f"empty: total union {constraint.name!r} covers only "
-                "empty roles/subtypes",
-                _dedupe(steps),
-            )
-            worklist.append(type_node)
-            progressed = True
-        if not worklist and not progressed:
-            break
 
 
 def require_satisfiable(schema: BinarySchema) -> ImplicationResult:

@@ -71,9 +71,8 @@ class Backend:
     """The backend interface the harness drives."""
 
     name = "abstract"
-    #: How the last :meth:`fetch_columns` read its data: ``"arrow"``
-    #: when DuckDB handed whole Arrow columns back, ``"native"`` for
-    #: direct column extraction, ``"fallback"`` when the default
+    #: How the last :meth:`fetch_columns` read its data: ``"native"``
+    #: for direct column extraction, ``"fallback"`` when the default
     #: :meth:`fetch_columns` transposed :meth:`rows`, ``None`` before
     #: any bulk read.
     read_path: str | None = None
@@ -347,15 +346,6 @@ class SqliteBackend(_SqlBackend):
         return backend
 
 
-def pyarrow_available() -> bool:
-    """True when the optional ``pyarrow`` package can be imported."""
-    try:
-        import pyarrow  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 class DuckDBBackend(_SqlBackend):
     """In-memory DuckDB — the 1e5+-row scale target."""
 
@@ -370,62 +360,6 @@ class DuckDBBackend(_SqlBackend):
                 "the duckdb package is not installed"
             ) from exc
         return duckdb.connect(":memory:")
-
-    def insert_rows(self, relation: str, rows: list[dict]) -> None:
-        # Arrow ingestion when pyarrow is around: one zero-copy
-        # ``register`` + INSERT..SELECT per relation instead of a
-        # Python-tuple round trip per row.  Both packages are
-        # optional, so any failure on this path falls back to the
-        # chunked executemany loader.
-        if rows and pyarrow_available():
-            try:
-                self._insert_rows_arrow(relation, rows)
-                return
-            except Exception:  # pragma: no cover - env-dependent
-                pass
-        super().insert_rows(relation, rows)
-
-    def fetch_columns(
-        self, relation: str, columns: tuple[str, ...]
-    ) -> dict[str, list]:
-        # Arrow bulk read when pyarrow is around: DuckDB hands whole
-        # columns back and ``to_pylist`` converts each once, instead
-        # of a Python tuple per row.  Falls back to the shared DB-API
-        # fetchall/transpose path on any failure.
-        if pyarrow_available():
-            try:
-                table = self._connection.execute(
-                    f"SELECT {', '.join(columns)} FROM {relation}"
-                ).fetch_arrow_table()
-            except Exception:  # pragma: no cover - env-dependent
-                pass
-            else:
-                self.read_path = "arrow"
-                return {
-                    column: table.column(column).to_pylist()
-                    for column in columns
-                }
-        return super().fetch_columns(relation, columns)
-
-    def _insert_rows_arrow(self, relation: str, rows: list[dict]) -> None:
-        import pyarrow as pa
-
-        columns = self._schema.relation(relation).attribute_names
-        table = pa.table(
-            {
-                column: [row.get(column) for row in rows]
-                for column in columns
-            }
-        )
-        view = f"_bulk_{relation}"
-        self._connection.register(view, table)
-        try:
-            self._connection.execute(
-                f"INSERT INTO {relation} ({', '.join(columns)}) "
-                f"SELECT {', '.join(columns)} FROM {view}"
-            )
-        finally:
-            self._connection.unregister(view)
 
 
 BACKENDS: dict[str, type[Backend]] = {

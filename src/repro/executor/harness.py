@@ -505,9 +505,9 @@ class ValidationReport:
     check_s: float
     round_trip_s: float
     check_workers: int = 1
-    #: How the backend served the bulk read: ``"arrow"`` (DuckDB with
-    #: pyarrow), ``"native"`` (direct column extraction), or
-    #: ``"fallback"`` (the default transpose of ``Backend.rows``).
+    #: How the backend served the bulk read: ``"native"`` (direct
+    #: column extraction) or ``"fallback"`` (the default transpose of
+    #: ``Backend.rows``).
     read_path: str = "native"
     #: Rules skipped under ``prune_implied`` (rule name -> the proof
     #: the implication engine produced).  Empty when pruning is off.

@@ -18,11 +18,13 @@ from:
 * IMP408 — the schema is contradictory: an object type is forced
   empty, or two value constraints enumerate disjoint domains.
 
-The warnings (401–406) overlap deliberately with coarser BRM-family
-smells (e.g. BRM017 flags redundant subsets by reachability): the
-IMP rules add the machine-checkable proof chain, which is what the
-executor's ``prune_implied`` mode and the robustness kill-shot test
-consume.
+The warnings overlap deliberately with BRM-family codes that stay
+stable public names for the same findings: BRM017 relays IMP401's
+subset verdicts, and BRM010–BRM012 report the consistency check's
+forced-empty nodes, which the same emptiness solver derives over the
+same inclusion graph.  The IMP rules add the machine-checkable proof
+chain, which is what the executor's ``prune_implied`` mode and the
+robustness kill-shot test consume.
 """
 
 from __future__ import annotations

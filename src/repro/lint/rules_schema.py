@@ -6,15 +6,12 @@ stable lint codes (the analyzer's symbolic codes such as
 bridge).  BRM015..BRM017 are new static smells over the same schema:
 unreferable types that would still be mapped, transitively redundant
 sublinks, and subset constraints already implied by the rest of the
-population-inclusion graph (via the condensed
-:class:`~repro.analyzer.consistency.SubsetGraph`).
+population-inclusion graph (the implication pass's IMP401 verdicts).
 """
 
 from __future__ import annotations
 
-from repro.analyzer.consistency import SubsetGraph, _item_node
 from repro.analyzer.diagnostics import Severity
-from repro.brm.constraints import SubsetConstraint
 from repro.lint.registry import lint_rule
 
 #: Analyzer symbolic code -> lint code.  One rule per legacy code so
@@ -177,31 +174,14 @@ def check_transitive_sublink(context):
 def check_redundant_subset(context):
     """A subset constraint is implied by the rest of the schema.
 
-    Checked on the condensed
-    :class:`~repro.analyzer.consistency.SubsetGraph`: a constraint is
-    redundant when its inclusion still holds after removing it.  The
-    graph-with-one-edge-removed rebuild only runs for constraints
-    whose inclusion has an alternative path through some intermediate
-    node (a necessary condition), so healthy schemas pay one cheap
-    reachability sweep.
+    Relays the implication pass's subset verdicts (IMP401, which
+    carries the proof chain) under this stable code: the inclusion
+    still holds on the shared inclusion graph without the
+    constraint's own edge.
     """
-    graph = context.subset_graph
-    explicit = [
-        c
-        for c in context.schema.constraints
-        if isinstance(c, SubsetConstraint)
-    ]
-    if not explicit:
-        return
-    for constraint in explicit:
-        sub = _item_node(constraint.subset)
-        sup = _item_node(constraint.superset)
-        if not graph.has_intermediate(sub, sup):
-            continue
-        probe = context.schema.copy()
-        probe.remove_constraint(constraint.name)
-        if SubsetGraph(probe).reaches(sub, sup):
-            yield constraint.name, (
+    for verdict in context.implications.implied:
+        if verdict.category == "subset":
+            yield verdict.subject, (
                 "subset constraint is already implied by the other "
                 "constraints and the subtype/fact structure"
             )

@@ -6,7 +6,7 @@ indexed :class:`BinarySchema` methods and the retained
 :class:`LinearScanOracle` (``tests/oracles/brm.py``) after randomized
 mutation sequences; the version tests pin down the invalidation
 contract (every mutator bumps, copies share stamps, constraint-only
-mutations invalidate the memoized ``analyze()``/``SubsetGraph``).
+mutations invalidate the memoized ``analyze()``/``InclusionGraph``).
 """
 
 import random
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.analyzer.api import analyze
-from repro.analyzer.consistency import subset_graph_for
+from repro.analyzer.consistency import inclusion_graph_for
 from repro.analyzer.correctness import check_correctness
 from repro.brm import (
     BinarySchema,
@@ -284,9 +284,9 @@ def test_constraint_only_mutation_invalidates_analyze(small_schema):
     assert third is not first and third is not second
 
 
-def test_constraint_only_mutation_invalidates_subset_graph(small_schema):
-    first = subset_graph_for(small_schema)
-    assert subset_graph_for(small_schema) is first
+def test_constraint_only_mutation_invalidates_inclusion_graph(small_schema):
+    first = inclusion_graph_for(small_schema)
+    assert inclusion_graph_for(small_schema) is first
     small_schema.add_constraint(
         SubsetConstraint(
             "S_inv",
@@ -294,14 +294,14 @@ def test_constraint_only_mutation_invalidates_subset_graph(small_schema):
             superset=RoleId("has_id", "of"),
         )
     )
-    second = subset_graph_for(small_schema)
+    second = inclusion_graph_for(small_schema)
     assert second is not first
-    assert second.reaches(
+    assert second.find_path(
         ("role", "has_id", "with"), ("role", "has_id", "of")
-    )
-    assert not first.reaches(
+    ) is not None
+    assert first.find_path(
         ("role", "has_id", "with"), ("role", "has_id", "of")
-    )
+    ) is None
 
 
 def test_copy_hits_the_same_memo_entry(small_schema):
@@ -317,21 +317,25 @@ def test_uncached_correctness_bypasses_memo(small_schema):
     assert fresh == cached
 
 
-def test_subset_graph_reaches_matches_bfs_semantics(small_schema):
-    """Spot-check the SCC/bitmask reachability on known paths."""
-    graph = subset_graph_for(small_schema)
+def test_inclusion_graph_paths_and_lower_bounds(small_schema):
+    """Spot-check inclusion paths and lower bounds on known chains."""
+    graph = inclusion_graph_for(small_schema)
     # role -> player: pop(has_id.with) <= pop(Paper)
-    assert graph.reaches(("role", "has_id", "with"), ("type", "Paper"))
+    assert graph.find_path(
+        ("role", "has_id", "with"), ("type", "Paper")
+    ) is not None
     # subtype chain: pop(Accepted_Paper) <= pop(Paper)
-    assert graph.reaches(("type", "Accepted_Paper"), ("type", "Paper"))
-    assert not graph.reaches(("type", "Paper"), ("type", "Accepted_Paper"))
+    assert graph.find_path(
+        ("type", "Accepted_Paper"), ("type", "Paper")
+    ) is not None
+    assert graph.find_path(
+        ("type", "Paper"), ("type", "Accepted_Paper")
+    ) is None
     # lower bounds of Paper include its subtype and its roles
-    bounds = graph.lower_bounds(("type", "Paper"))
+    bounds = graph.lower_bound_paths(("type", "Paper"))
     assert ("type", "Accepted_Paper") in bounds
     assert ("role", "has_id", "with") in bounds
     # unknown nodes only bound themselves
-    assert graph.lower_bounds(("type", "Ghost")) == frozenset(
-        (("type", "Ghost"),)
-    )
-    assert not graph.reaches(("type", "Ghost"), ("type", "Paper"))
-    assert graph.reaches(("type", "Ghost"), ("type", "Ghost"))
+    assert graph.lower_bound_paths(("type", "Ghost")) == {("type", "Ghost"): ()}
+    assert graph.find_path(("type", "Ghost"), ("type", "Paper")) is None
+    assert graph.find_path(("type", "Ghost"), ("type", "Ghost")) == ()

@@ -278,9 +278,8 @@ class TestColumnarRoundTrip:
         assert report.backend_used == "duckdb"
         assert report.round_trip_ok
         assert report.round_trip_diff == {}
-        # Arrow when pyarrow is importable, native column extraction
-        # otherwise — never the row-transposing fallback.
-        assert report.read_path in ("arrow", "native")
+        # Native column extraction, never the row-transposing fallback.
+        assert report.read_path == "native"
 
     def test_report_records_round_trip_provenance(self, fig6):
         report = run_validation(

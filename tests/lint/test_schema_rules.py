@@ -88,6 +88,21 @@ def _parallel_subset_schema():
     return builder.build()
 
 
+def _parallel_edge_schema():
+    """``subset f0.x in f1.x`` beside ``equality f1.x, f0.x``.
+
+    The equality alone already gives the inclusion: a one-step proof
+    along a parallel edge, with no intermediate node.
+    """
+    builder = SchemaBuilder("ParallelEdge")
+    builder.nolot("P").lot("K", char(3)).lot("L", char(3))
+    builder.fact("f0", ("P", "x"), ("K", "y"))
+    builder.fact("f1", ("P", "x"), ("L", "y"))
+    builder.subset(("f0", "x"), ("f1", "x"), name="S1")
+    builder.equality(("f1", "x"), ("f0", "x"), name="E1")
+    return builder.build()
+
+
 class TestNewSchemaRules:
     def test_transitive_sublink_detected(self):
         report = lint_schema(_chain_schema(), select=["BRM016"])
@@ -100,6 +115,15 @@ class TestNewSchemaRules:
     def test_redundant_subset_detected(self):
         report = lint_schema(_parallel_subset_schema(), select=["BRM017"])
         assert [d.subject for d in report.diagnostics] == ["S_ac"]
+
+    def test_redundant_subset_along_a_parallel_edge(self):
+        report = lint_schema(
+            _parallel_edge_schema(), select=["BRM017", "IMP401"]
+        )
+        assert [(d.code, d.subject) for d in report.diagnostics] == [
+            ("BRM017", "S1"),
+            ("IMP401", "S1"),
+        ]
 
     def test_no_redundant_subsets_in_paper_schemas(self, fig6, cris):
         for schema in (fig6, cris):

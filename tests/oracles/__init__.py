@@ -15,7 +15,9 @@ the per-kind ``isinstance`` ladders that rendered constraints and
 compiled their checker SQL (``constraints``), and the injection
 planner's whole-relation verifier, which re-ran every rule reading a
 candidate's relation on a spliced fork of the clean database
-(``robustness.whole_relation_verifier``).
+(``robustness.whole_relation_verifier``), and the consistency check's
+own condensed subset graph and emptiness propagation, which the
+shared inclusion graph and solver replaced (``analyzer``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """
