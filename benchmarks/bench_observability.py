@@ -20,24 +20,11 @@ from time import perf_counter
 
 import pytest
 
-from bench_industrial_scale import calibration_time
+from bench_industrial_scale import INDUSTRIAL_SHAPE, calibration_time
 from conftest import emit
 from repro.mapper import MappingOptions, SublinkPolicy, map_schema
 from repro.observability import Tracer, aggregate_spans
-from repro.workloads import SchemaShape, generate_schema
-
-#: Same shape as ``bench_industrial_scale.INDUSTRIAL_SHAPE``.
-INDUSTRIAL_SHAPE = SchemaShape(
-    entity_types=90,
-    attributes_per_entity=(4, 9),
-    optional_ratio=0.5,
-    rich_constraints=True,
-    exclusion_groups=5,
-    subset_ratio=0.9,
-    value_ratio=0.5,
-    alternate_identifier_ratio=0.3,
-    many_to_many_per_entity=0.6,
-)
+from repro.workloads import generate_schema
 
 OPTIONS = MappingOptions(sublink_policy=SublinkPolicy.INDICATOR)
 

@@ -11,13 +11,19 @@ design instead of from the default.
 
 Two structural optimizations keep the exploration fast:
 
-* **Shared-prefix reuse** — candidates agreeing on their
-  :meth:`~repro.mapper.options.MappingOptions.prefix_key` (null and
-  sublink policies, lexical preferences, scope) share the expensive
-  binary phase and plan synthesis; each distinct prefix runs once
-  (:func:`~repro.mapper.engine.map_prefix`) and the combine/omit
-  suffixes fork from its snapshot.
-* **Process-pool fan-out** — prefix groups are independent, so they
+* **Two-level prefix reuse** — the binary phase reads only the scope
+  and the effective sublink policies, the plan synthesis adds the null
+  policy and the lexical preferences, and the combine/omit choices act
+  on the finished plan.  Candidates are grouped first by
+  :func:`~repro.mapper.engine.binary_key` (*binary groups*), then by
+  :meth:`~repro.mapper.options.MappingOptions.prefix_key` (*prefix
+  groups*).  Each binary group runs the binary phase once
+  (:func:`~repro.mapper.engine.map_binary`), each of its prefix groups
+  runs the plan synthesis once on a fork of it
+  (:func:`~repro.mapper.engine.prefix_from_binary`), and the
+  combine/omit suffixes fork from the prefix snapshot.  With expert
+  rules, which may read any option, the binary key is the prefix key.
+* **Process-pool fan-out** — binary groups are independent, so they
   are distributed over a :class:`concurrent.futures.\
 ProcessPoolExecutor`; every payload (schema, options, outcomes) is
   picklable by construction.  ``workers=1`` short-circuits the pool
@@ -42,7 +48,14 @@ from dataclasses import dataclass
 from repro.analyzer.implication import check_implications
 from repro.brm.schema import BinarySchema
 from repro.engine.cost import CostModel
-from repro.mapper.engine import map_prefix, plan_from_prefix
+from repro.mapper.engine import (
+    MappingPrefix,
+    _gate,
+    binary_key,
+    map_binary,
+    plan_from_prefix,
+    prefix_from_binary,
+)
 from repro.mapper.options import MappingOptions
 from repro.mapper.optionspace import (
     OptionSpace,
@@ -346,19 +359,28 @@ def score_plan(
 
 
 @dataclass(frozen=True)
-class _GroupTask:
-    """One prefix group's work order — the process-pool payload."""
+class _PrefixGroup:
+    """The candidates sharing one plan synthesis."""
 
-    schema: BinarySchema
     prefix_options: MappingOptions
     items: tuple[tuple[int, MappingOptions], ...]
+    #: Position among all prefix groups — a deterministic span label.
+    group_index: int
+
+
+@dataclass(frozen=True)
+class _GroupTask:
+    """One binary group's work order — the process-pool payload."""
+
+    schema: BinarySchema
+    groups: tuple[_PrefixGroup, ...]
     profile: WorkloadProfile
     weights: ScoreWeights
     model: CostModel
     robustness: str | None
     extra_rules: tuple[Rule, ...] = ()
     #: Position in enumeration order — a deterministic span label.
-    group_index: int = 0
+    binary_index: int = 0
     #: PID of the process whose tracer wants this group's spans, or
     #: ``None`` when tracing is off.  A worker (different PID) opens
     #: its own collector and ships the spans back; the serial path
@@ -367,7 +389,8 @@ class _GroupTask:
 
 
 def _explore_group(task: _GroupTask) -> "_GroupResult":
-    """Run one shared prefix, then fork and score every suffix.
+    """Run one shared binary phase, each of its prefix groups' plan
+    synthesis, then fork and score every suffix.
 
     Module-level so the payload and the function itself pickle for
     the process pool; also the serial path, so both are one code
@@ -392,7 +415,8 @@ def _explore_group(task: _GroupTask) -> "_GroupResult":
 
 @dataclass(frozen=True)
 class _GroupResult:
-    """One group's outcomes plus, when traced in a worker, its spans."""
+    """One binary group's outcomes plus, when traced in a worker, its
+    spans."""
 
     outcomes: list[CandidateOutcome]
     spans: list | None = None
@@ -401,36 +425,69 @@ class _GroupResult:
 
 def _explore_group_outcomes(task: _GroupTask) -> list[CandidateOutcome]:
     with obs.span(
-        "advisor.group",
-        group=task.group_index,
-        prefix=task.prefix_options.describe(),
-        candidates=len(task.items),
+        "advisor.binary_group",
+        binary_group=task.binary_index,
+        groups=len(task.groups),
+        candidates=sum(len(group.items) for group in task.groups),
     ):
-        return _run_group(task)
+        return _run_binary_group(task)
 
 
-def _run_group(task: _GroupTask) -> list[CandidateOutcome]:
-    try:
-        prefix = map_prefix(
-            task.schema,
-            task.prefix_options,
-            robustness=task.robustness,
-            extra_rules=task.extra_rules,
-        )
-    except Exception as exc:  # reported per candidate, never aborts advise
-        return [
-            CandidateOutcome(
-                index=index,
-                options=options,
-                label=options.describe(),
-                score=None,
-                health=None,
-                error=f"prefix failed: {exc}",
-            )
-            for index, options in task.items
-        ]
+def _run_binary_group(task: _GroupTask) -> list[CandidateOutcome]:
+    """Each prefix group passes its own analyzer gate; the first that
+    does runs the binary phase, which every later one reuses."""
+    binary = None  # the shared BinaryPrefix, or the error it raised
+    outcomes: list[CandidateOutcome] = []
+    for group in task.groups:
+        with obs.span(
+            "advisor.group",
+            group=group.group_index,
+            prefix=group.prefix_options.describe(),
+            candidates=len(group.items),
+        ):
+            try:
+                _gate(task.schema, group.prefix_options)
+                if binary is None:
+                    try:
+                        binary = map_binary(
+                            task.schema,
+                            group.prefix_options,
+                            extra_rules=task.extra_rules,
+                            robustness=task.robustness,
+                        )
+                    except Exception as exc:  # shared by the whole binary group
+                        binary = exc
+                if isinstance(binary, Exception):
+                    raise binary
+                prefix = prefix_from_binary(binary, group.prefix_options)
+            except Exception as exc:  # reported per candidate, never aborts advise
+                outcomes.extend(
+                    _failure(index, options, f"prefix failed: {exc}")
+                    for index, options in group.items
+                )
+                continue
+            outcomes.extend(_score_candidates(task, prefix, group.items))
+    return outcomes
+
+
+def _failure(index: int, options: MappingOptions, error: str) -> CandidateOutcome:
+    return CandidateOutcome(
+        index=index,
+        options=options,
+        label=options.describe(),
+        score=None,
+        health=None,
+        error=error,
+    )
+
+
+def _score_candidates(
+    task: _GroupTask,
+    prefix: MappingPrefix,
+    items: tuple[tuple[int, MappingOptions], ...],
+) -> list[CandidateOutcome]:
     outcomes = []
-    for index, options in task.items:
+    for index, options in items:
         try:
             plan, health = plan_from_prefix(prefix, options)
             outcomes.append(
@@ -448,23 +505,14 @@ def _run_group(task: _GroupTask) -> list[CandidateOutcome]:
                 )
             )
         except Exception as exc:  # one failed candidate must not sink the rest
-            outcomes.append(
-                CandidateOutcome(
-                    index=index,
-                    options=options,
-                    label=options.describe(),
-                    score=None,
-                    health=None,
-                    error=str(exc),
-                )
-            )
+            outcomes.append(_failure(index, options, str(exc)))
     return outcomes
 
 
 def resolve_workers(workers: int | None, groups: int) -> int:
     """The effective worker count: ``None`` auto-sizes to the CPU
     count, and never more workers than work items (the advisor's
-    prefix groups, the checker's rules or injections)."""
+    binary groups, the checker's rules or injections)."""
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, min(workers, max(1, groups)))
@@ -497,28 +545,44 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
             space = discover_space(schema)
         with obs.span("advisor.enumerate"):
             candidates = enumerate_options(space, prune=prune)
-        groups: dict[tuple, list[tuple[int, MappingOptions]]] = {}
-        prefix_options: dict[tuple, MappingOptions] = {}
+        # binary key -> prefix key -> (index, options) items, each
+        # level in the order its first candidate was enumerated.
+        binary_groups: dict[tuple, dict[tuple, list]] = {}
         for index, options in enumerate(candidates):
-            key = options.prefix_key()
-            groups.setdefault(key, []).append((index, options))
-            prefix_options.setdefault(key, options.prefix_options())
-        tasks = [
-            _GroupTask(
-                schema=schema,
-                prefix_options=prefix_options[key],
-                items=tuple(items),
-                profile=profile,
-                weights=weights,
-                model=model,
-                robustness=robustness,
-                extra_rules=extra_rules,
-                group_index=group_index,
-                trace_parent=None if tracer is None else os.getpid(),
+            prefix_groups = binary_groups.setdefault(
+                binary_key(schema, options, extra_rules), {}
             )
-            for group_index, (key, items) in enumerate(groups.items())
-        ]
-        obs.count("advisor.groups", len(tasks))
+            prefix_groups.setdefault(options.prefix_key(), []).append(
+                (index, options)
+            )
+        tasks = []
+        group_count = 0
+        for binary_index, prefix_groups in enumerate(binary_groups.values()):
+            groups = []
+            for items in prefix_groups.values():
+                groups.append(
+                    _PrefixGroup(
+                        prefix_options=items[0][1].prefix_options(),
+                        items=tuple(items),
+                        group_index=group_count,
+                    )
+                )
+                group_count += 1
+            tasks.append(
+                _GroupTask(
+                    schema=schema,
+                    groups=tuple(groups),
+                    profile=profile,
+                    weights=weights,
+                    model=model,
+                    robustness=robustness,
+                    extra_rules=extra_rules,
+                    binary_index=binary_index,
+                    trace_parent=None if tracer is None else os.getpid(),
+                )
+            )
+        obs.count("advisor.binary_groups", len(tasks))
+        obs.count("advisor.groups", group_count)
         obs.count("advisor.candidates", len(candidates))
         effective = resolve_workers(workers, len(tasks))
         if effective <= 1:
@@ -546,7 +610,7 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
         return AdvisorReport(
             schema_name=schema.name,
             ranked=tuple(outcomes),
-            prefix_groups=len(tasks),
+            prefix_groups=group_count,
             profile=profile,
             weights=weights,
         )

@@ -17,17 +17,22 @@ recovery decision.  ``robustness="strict"`` (default) aborts on the
 first failure, ``robustness="best-effort"`` survives bad expert rules
 and failed optional phases and reports the degradation.
 
-The pipeline has a natural seam after plan synthesis: the binary
-phase and the synthesis depend only on the *prefix* fields of the
-options (null policy, sublink policies, lexical preferences, scope),
-while combines, omissions and materialization act on the finished
-plan.  :func:`map_prefix` runs the session up to that seam and
-returns a reusable :class:`MappingPrefix`; :func:`map_from_prefix`
-and :func:`plan_from_prefix` fork any number of combine/omit/
-materialize suffixes from it.  ``map_schema`` is the composition of
-the two halves, and the option advisor
-(:mod:`repro.mapper.advisor`) uses the seam to run each distinct
-prefix exactly once while exploring a whole option lattice.
+The pipeline has two natural seams.  The binary phase reads only the
+scope and the effective sublink policies (:func:`binary_key`); the
+plan synthesis adds the null policy and the lexical preferences (the
+*prefix* fields, :meth:`~repro.mapper.options.MappingOptions.\
+prefix_key`); combines, omissions and materialization act on the
+finished plan.  :func:`map_binary` runs the session up to the first
+seam and returns a reusable :class:`BinaryPrefix`;
+:func:`prefix_from_binary` runs the plan synthesis on a fork of it
+and returns a reusable :class:`MappingPrefix`, and :func:`map_prefix`
+is exactly those two halves behind the analyzer gate.
+:func:`map_from_prefix` and :func:`plan_from_prefix` fork any number
+of combine/omit/materialize suffixes from a prefix.  ``map_schema``
+runs the same phases in one session, and the option advisor
+(:mod:`repro.mapper.advisor`) uses both seams to run each distinct
+binary phase and each distinct plan synthesis exactly once while
+exploring a whole option lattice.
 """
 
 from __future__ import annotations
@@ -109,10 +114,8 @@ class _PhaseRunner:
             return backup
 
 
-def _run_prefix(
-    runner: _PhaseRunner, extra_rules: tuple[Rule, ...]
-) -> MappingPlan:
-    """The binary rule-firing phase and the plan synthesis."""
+def _run_binary(runner: _PhaseRunner, extra_rules: tuple[Rule, ...]) -> None:
+    """The guarded binary rule-firing phase."""
     executor = GuardedExecutor(runner.mode, runner.health)
     engine = TransformationEngine()
     for rule in extra_rules:
@@ -123,6 +126,10 @@ def _run_prefix(
         return None
 
     runner.run("binary", binary_phase)
+
+
+def _run_plan(runner: _PhaseRunner) -> MappingPlan:
+    """The plan synthesis."""
     return runner.run("plan", lambda: build_plan(runner.state))
 
 
@@ -218,9 +225,59 @@ def map_schema(
             schema=schema.copy(), options=options, original=schema
         )
         runner = _PhaseRunner(state, mode, health, checkpoints)
-        plan = _run_prefix(runner, extra_rules)
-        plan = _run_option_phases(runner, plan)
+        _run_binary(runner, extra_rules)
+        plan = _run_option_phases(runner, _run_plan(runner))
         return _run_materialize(runner, schema, plan)
+
+
+def _fork_state(
+    source: BinarySchema, snapshot: StateSnapshot, options: MappingOptions
+) -> MappingState:
+    """A fresh working state at a seam, under new options."""
+    state = MappingState(schema=source.copy(), options=options, original=source)
+    state.restore(snapshot)
+    return state
+
+
+def binary_key(
+    schema: BinarySchema,
+    options: MappingOptions,
+    extra_rules: tuple[Rule, ...] = (),
+) -> tuple:
+    """The identity of the binary phase of mapping ``schema``.
+
+    The default rule base reads only the scope (``restrict_scope``)
+    and the effective policy of each sublink type
+    (``apply_sublink_policies``), so option sets with equal keys reach
+    equal post-binary states and may share one :class:`BinaryPrefix`.
+    Expert rules may read any option: with ``extra_rules`` the key is
+    the whole :meth:`~repro.mapper.options.MappingOptions.prefix_key`.
+    """
+    if extra_rules:
+        return options.prefix_key()
+    return (
+        options.canonical().scope,
+        tuple(options.policy_for(sublink.name) for sublink in schema.sublinks),
+    )
+
+
+@dataclass(frozen=True)
+class BinaryPrefix:
+    """The shared binary phase of a family of mapping sessions.
+
+    Captures the session right after the binary-to-binary phase: the
+    post-binary state image plus the health report so far.  Every
+    option set whose :func:`binary_key` agrees with ``options`` can run
+    its plan synthesis on a fork of it through
+    :func:`prefix_from_binary` instead of redoing the binary phase.
+    """
+
+    source: BinarySchema
+    options: MappingOptions  #: the options the binary phase ran under
+    extra_rules: tuple[Rule, ...]
+    snapshot: StateSnapshot
+    health: HealthReport
+    mode: RecoveryMode
 
 
 @dataclass(frozen=True)
@@ -246,13 +303,7 @@ class MappingPrefix:
 
     def fork_state(self, options: MappingOptions) -> MappingState:
         """A fresh working state at the seam, under new options."""
-        state = MappingState(
-            schema=self.source.copy(),
-            options=options,
-            original=self.source,
-        )
-        state.restore(self.snapshot)
-        return state
+        return _fork_state(self.source, self.snapshot, options)
 
     def fork_plan(self, options: MappingOptions) -> MappingPlan:
         """An independent plan copy carrying the candidate's options."""
@@ -272,7 +323,9 @@ def map_prefix(
 ) -> MappingPrefix:
     """Run a mapping session up to the post-plan seam, reusably.
 
-    Combine/omit fields of ``options`` are ignored (stripped via
+    Exactly :func:`map_binary` then :func:`prefix_from_binary`, behind
+    the analyzer gate.  Combine/omit fields of ``options`` are ignored
+    (stripped via
     :meth:`~repro.mapper.options.MappingOptions.prefix_options`); they
     belong to the suffixes forked from the returned prefix.  A
     ``checkpoints`` manager, when given, is bound to the *prefix*
@@ -287,20 +340,76 @@ def map_prefix(
             _gate(schema, options)
         if checkpoints is not None:
             checkpoints.bind(schema.name, options)
-        health = HealthReport(mode=mode.value)
-        state = MappingState(
-            schema=schema.copy(), options=options, original=schema
+        binary = map_binary(
+            schema,
+            options,
+            extra_rules=extra_rules,
+            robustness=mode,
+            checkpoints=checkpoints,
         )
-        runner = _PhaseRunner(state, mode, health, checkpoints)
-        plan = _run_prefix(runner, extra_rules)
-        state_snapshot = state.snapshot()
-    return MappingPrefix(
+        return prefix_from_binary(binary, options, checkpoints=checkpoints)
+
+
+def map_binary(
+    schema: BinarySchema,
+    options: MappingOptions,
+    *,
+    extra_rules: tuple[Rule, ...] = (),
+    robustness: RecoveryMode | str | None = None,
+    checkpoints: CheckpointManager | None = None,
+) -> BinaryPrefix:
+    """The binary half of :func:`map_prefix`: the guarded binary phase.
+
+    Runs no analyzer gate and binds no ``checkpoints`` manager; the
+    caller gates ``schema`` first, as :func:`map_prefix` does.
+    """
+    mode = resolve_mode(robustness)
+    health = HealthReport(mode=mode.value)
+    state = MappingState(schema=schema.copy(), options=options, original=schema)
+    _run_binary(_PhaseRunner(state, mode, health, checkpoints), extra_rules)
+    return BinaryPrefix(
         source=schema,
         options=options,
-        snapshot=state_snapshot,
-        plan=plan.snapshot(),
+        extra_rules=extra_rules,
+        snapshot=state.snapshot(),
         health=health,
         mode=mode,
+    )
+
+
+def prefix_from_binary(
+    binary: BinaryPrefix,
+    options: MappingOptions,
+    *,
+    checkpoints: CheckpointManager | None = None,
+) -> MappingPrefix:
+    """The plan half of :func:`map_prefix`: the plan synthesis on a
+    fork of ``binary`` under ``options``, with a copy of its health.
+
+    ``options`` must share the :func:`binary_key` of ``binary.options``;
+    combine/omit fields are stripped as in :func:`map_prefix`.
+    ``binary`` is not consumed, so it serves any number of plan halves.
+    """
+    options = options.prefix_options()
+    rules = binary.extra_rules
+    if binary_key(binary.source, options, rules) != binary_key(
+        binary.source, binary.options, rules
+    ):
+        raise MappingError(
+            f"options {options.describe()!r} do not share the binary "
+            f"phase of {binary.options.describe()!r}: re-run map_binary "
+            "instead of forking"
+        )
+    health = copy.deepcopy(binary.health)
+    state = _fork_state(binary.source, binary.snapshot, options)
+    plan = _run_plan(_PhaseRunner(state, binary.mode, health, checkpoints))
+    return MappingPrefix(
+        source=binary.source,
+        options=options,
+        snapshot=state.snapshot(),
+        plan=plan.snapshot(),
+        health=health,
+        mode=binary.mode,
     )
 
 

@@ -165,12 +165,15 @@ class MappingOptions:
         )
 
     def prefix_key(self) -> tuple:
-        """The identity of the *binary-phase prefix* of the pipeline.
+        """The identity of the *prefix* of the pipeline: the binary
+        phase and the plan synthesis.
 
-        Only the null/sublink/lexical/scope choices influence the
-        binary-to-binary phase and the plan synthesis; the combine and
-        omit choices act on the finished plan.  Candidates with equal
-        prefix keys can therefore share one prefix run (see
+        The binary-to-binary phase reads only the scope and the
+        effective sublink policies (its own, coarser identity is
+        :func:`repro.mapper.engine.binary_key`); the plan synthesis
+        adds the null policy and the lexical preferences; the combine
+        and omit choices act on the finished plan.  Candidates with
+        equal prefix keys can therefore share one prefix run (see
         :func:`repro.mapper.engine.map_prefix`).
         """
         c = self.canonical()

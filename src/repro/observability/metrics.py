@@ -21,6 +21,7 @@ Counter names used across the stack (grep for ``obs.count``):
 ``steps.recorded``                      applied transformation steps
 ``lint.diagnostics``                    lint findings before suppression
 ``sql.statements``                      emitted CREATE TABLE blocks
+``advisor.binary_groups``               option-lattice binary phases (pool tasks)
 ``advisor.groups`` / ``.candidates``    option-lattice fan-out
 ======================================  ================================
 

@@ -17,7 +17,9 @@ planner's whole-relation verifier, which re-ran every rule reading a
 candidate's relation on a spliced fork of the clean database
 (``robustness.whole_relation_verifier``), and the consistency check's
 own condensed subset graph and emptiness propagation, which the
-shared inclusion graph and solver replaced (``analyzer``).
+shared inclusion graph and solver replaced (``analyzer``), and the
+advisor's one ``map_prefix`` per prefix group, which the shared binary
+phase per binary group replaced (``mapper.prefix_group_advise``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

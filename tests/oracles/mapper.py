@@ -22,25 +22,47 @@ its relations with ``entity_fetch_cost`` on the materialized
 relational schema.  ``tests/mapper/test_queries_expert.py`` asserts
 that ``score_plan`` prices every candidate's plan the same, and that
 both fail on the same candidates.
+
+:func:`prefix_group_advise` keeps the advisor's one-level grouping:
+candidates grouped by ``prefix_key()`` alone, and one whole
+``map_prefix`` (gate, binary phase, plan synthesis) per prefix group,
+run serially.  ``tests/mapper/test_binary_seam.py`` asserts that
+``advise``, which runs the binary phase once per binary group, ranks
+and reports every candidate the same.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 
+from repro.analyzer.implication import check_implications
 from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
 from repro.brm.schema import BinarySchema
 from repro.engine.cost import CostModel, TableStatistics, entity_fetch_cost
 from repro.engine.database import Database
 from repro.errors import MappingError
-from repro.mapper.engine import map_schema
+from repro.mapper.advisor import (
+    AdvisorReport,
+    CandidateHealth,
+    CandidateOutcome,
+    ScoreWeights,
+    score_plan,
+)
+from repro.mapper.engine import map_prefix, map_schema, plan_from_prefix
 from repro.mapper.options import MappingOptions
+from repro.mapper.optionspace import (
+    OptionSpace,
+    PrunePredicate,
+    discover_space,
+    enumerate_options,
+)
+from repro.mapper.rulebase import Rule
 from repro.mapper.plan import FactPairs, RelationPlan, RolePlayers
 from repro.mapper.state_map import RelationalStateMap, _BackwardPrep
 from repro.mapper.synthesis import MappingPlan
 from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
-from repro.workloads.statistics import QueryPattern
+from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
 from tests.oracles.brm import RowPopulation
 
@@ -460,3 +482,104 @@ def materialized_workload_cost(
         )
         total += cost * pattern.frequency
     return total
+
+
+def prefix_group_advise(
+    schema: BinarySchema,
+    space: OptionSpace | None = None,
+    *,
+    prune: PrunePredicate | None = None,
+    profile: WorkloadProfile = WorkloadProfile(),
+    weights: ScoreWeights = ScoreWeights(),
+    model: CostModel = CostModel(),
+    robustness: str | None = None,
+    extra_rules: tuple[Rule, ...] = (),
+) -> AdvisorReport:
+    """``advise(..., workers=1)`` with one ``map_prefix`` per prefix
+    group, grouped by ``prefix_key()`` alone."""
+    if space is None:
+        space = discover_space(schema)
+    groups: dict[tuple, list[tuple[int, MappingOptions]]] = {}
+    for index, options in enumerate(enumerate_options(space, prune=prune)):
+        groups.setdefault(options.prefix_key(), []).append((index, options))
+    outcomes = []
+    for items in groups.values():
+        outcomes.extend(
+            _run_group(
+                schema,
+                items[0][1].prefix_options(),
+                items,
+                profile=profile,
+                weights=weights,
+                model=model,
+                robustness=robustness,
+                extra_rules=extra_rules,
+            )
+        )
+    return AdvisorReport(
+        schema_name=schema.name,
+        ranked=tuple(sorted(outcomes, key=CandidateOutcome.sort_key)),
+        prefix_groups=len(groups),
+        profile=profile,
+        weights=weights,
+    )
+
+
+def _run_group(
+    schema: BinarySchema,
+    prefix_options: MappingOptions,
+    items: list[tuple[int, MappingOptions]],
+    *,
+    profile: WorkloadProfile,
+    weights: ScoreWeights,
+    model: CostModel,
+    robustness: str | None,
+    extra_rules: tuple[Rule, ...],
+) -> list[CandidateOutcome]:
+    try:
+        prefix = map_prefix(
+            schema,
+            prefix_options,
+            robustness=robustness,
+            extra_rules=extra_rules,
+        )
+    except Exception as exc:  # reported per candidate, never aborts advise
+        return [
+            CandidateOutcome(
+                index=index,
+                options=options,
+                label=options.describe(),
+                score=None,
+                health=None,
+                error=f"prefix failed: {exc}",
+            )
+            for index, options in items
+        ]
+    outcomes = []
+    for index, options in items:
+        try:
+            plan, health = plan_from_prefix(prefix, options)
+            outcomes.append(
+                CandidateOutcome(
+                    index=index,
+                    options=options,
+                    label=options.describe(),
+                    score=score_plan(plan, profile, weights, model),
+                    health=CandidateHealth.from_report(health),
+                    implied_constraints=len(
+                        check_implications(plan.schema).implied
+                    ),
+                )
+            )
+        except Exception as exc:  # one failed candidate must not sink the rest
+            outcomes.append(
+                CandidateOutcome(
+                    index=index,
+                    options=options,
+                    label=options.describe(),
+                    score=None,
+                    health=None,
+                    error=str(exc),
+                )
+            )
+    return outcomes
