@@ -46,6 +46,10 @@ PHASE_SPANS = {
 #: Timed loops per calibration; their median is the figure reported.
 CALIBRATION_LOOPS = 5
 
+#: Timed guarded ``map_schema`` calls; their median is the figure
+#: reported as ``guarded_map_schema_wall_s``.
+GUARDED_RUNS = 5
+
 
 def calibration_time() -> float:
     """Seconds per loop of a fixed pure-Python workload on this machine.
@@ -120,15 +124,20 @@ def test_industrial_mapping(benchmark, industrial_schema):
     # depends on their pretty-printer and schema width (unknowable).
     assert 0.5 <= pages_per_table <= 1.5
 
-    # One explicitly timed guarded run for the JSON record (the
+    # Explicitly timed guarded runs for the JSON record (the
     # pytest-benchmark timings are unavailable under
-    # --benchmark-disable, which is how CI runs this).
-    started = perf_counter()
-    map_schema(
-        industrial_schema,
-        MappingOptions(sublink_policy=SublinkPolicy.INDICATOR),
-    )
-    guarded_wall_s = perf_counter() - started
+    # --benchmark-disable, which is how CI runs this): the median of
+    # GUARDED_RUNS warm-cache calls on the same schema, so one call
+    # slowed by a noisy neighbour does not move the gated key.
+    samples = []
+    for _ in range(GUARDED_RUNS):
+        started = perf_counter()
+        map_schema(
+            industrial_schema,
+            MappingOptions(sublink_policy=SublinkPolicy.INDICATOR),
+        )
+        samples.append(perf_counter() - started)
+    guarded_wall_s = median(samples)
     phases = phase_walls()
 
     stats = result.relational.stats()
@@ -144,7 +153,8 @@ def test_industrial_mapping(benchmark, industrial_schema):
             f"(FK {stats['foreign_keys']}, CHECK {stats['checks']}, "
             f"views {stats['view_constraints']}) "
             f"+ {len(result.pseudo_constraints)} pseudo",
-            f"guarded map_schema: {guarded_wall_s:.3f}s "
+            f"guarded map_schema (median of {GUARDED_RUNS}): "
+            f"{guarded_wall_s:.3f}s "
             f"(pre-index baseline {PRE_INDEX_GUARDED_WALL_S:.3f}s, "
             f"{PRE_INDEX_GUARDED_WALL_S / guarded_wall_s:.1f}x)",
             "traced phases (median of 5): "

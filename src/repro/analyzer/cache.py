@@ -4,10 +4,10 @@ The RIDL-A functions are pure functions of the schema's element sets,
 and :class:`~repro.brm.schema.BinarySchema` version stamps are
 globally unique per mutation event — equal stamps imply equal
 elements (copies share the stamp, every mutation takes a fresh one).
-A bounded LRU keyed by ``(schema name, version)`` therefore makes
-re-analysis of an untouched schema (or of any of its copies) an O(1)
-dictionary hit, which is what the per-step guards and the analyzer
-gate of ``map_schema`` lean on.
+A bounded LRU keyed by ``(schema name, version)``, plus any further
+hashable arguments, therefore makes re-analysis of an untouched schema
+(or of any of its copies) an O(1) dictionary hit, which is what the
+per-step guards and the analyzer gate of ``map_schema`` lean on.
 
 The caches hold *shared* result objects: treat cached reports and
 graphs as read-only, exactly like the schema elements themselves.
@@ -35,7 +35,8 @@ DEFAULT_MAXSIZE = 64
 def memoized_on_schema_version(
     maxsize: int = DEFAULT_MAXSIZE,
 ) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Memoize a ``fn(schema)`` on the schema's ``(name, version)``.
+    """Memoize a ``fn(schema, *args)`` on the schema's ``(name,
+    version)`` and the (hashable) ``args``.
 
     The wrapped function keeps the original callable as
     ``fn.uncached`` (for callers that must bypass the memo, e.g. the
@@ -44,12 +45,12 @@ def memoized_on_schema_version(
     """
 
     def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        cache: OrderedDict[tuple[str, int], T] = OrderedDict()
+        cache: OrderedDict[tuple, T] = OrderedDict()
         _REGISTRY.append(cache)
 
         @wraps(fn)
-        def wrapper(schema) -> T:
-            key = (schema.name, schema.version)
+        def wrapper(schema, *args) -> T:
+            key = (schema.name, schema.version, *args)
             try:
                 value = cache[key]
             except KeyError:
@@ -62,7 +63,7 @@ def memoized_on_schema_version(
                     volatile=True,
                     schema=schema.name,
                 ):
-                    value = fn(schema)
+                    value = fn(schema, *args)
                 cache[key] = value
                 if len(cache) > maxsize:
                     cache.popitem(last=False)

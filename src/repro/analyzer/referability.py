@@ -15,14 +15,65 @@ candidate schemes whose targets are themselves non-referable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
+from repro.analyzer.cache import memoized_on_schema_version
 from repro.analyzer.diagnostics import Diagnostic, Severity
 from repro.brm.reference import ReferenceResolver, candidate_schemes
 from repro.brm.schema import BinarySchema
 
 
+def resolver_for(
+    schema: BinarySchema,
+    preferences: dict[str, tuple[str, ...]] | None = None,
+) -> ReferenceResolver:
+    """The (shared, read-only) reference resolution of this schema
+    version under these lexical preferences.
+
+    The resolver is built on its own copy of the schema, so a caller
+    that mutates its schema afterwards cannot change the answers it
+    shares.  A construction that raises (an ungrounded preference) is
+    not memoized: every call raises again.
+    """
+    key = tuple(
+        (type_name, tuple(scheme))
+        for type_name, scheme in (preferences or {}).items()
+    )
+    return _resolve(schema, key)
+
+
+# An advise op reuses a resolution within the next request or two: the
+# gate's in the probe and the first plan phase, then each binary
+# group's preferences in its next prefix group.  Two entries suffice,
+# and a resolver of an industrial-size design holds about ten thousand
+# small objects, which every full garbage collection walks while the
+# memo keeps it alive.
+@memoized_on_schema_version(maxsize=2)
+def _resolve(
+    schema: BinarySchema, preferences: tuple[tuple[str, tuple[str, ...]], ...]
+) -> ReferenceResolver:
+    return ReferenceResolver(schema.copy(), preferences=dict(preferences))
+
+
+@contextmanager
+def resolution_scope() -> Iterator[None]:
+    """Drop the memoized resolutions when the block ends.
+
+    ``map_schema`` and ``advise`` each run in one scope: their requests
+    share resolutions, and a resolver kept after the call would only
+    shift the garbage collections of every later call in a process
+    that keeps mapping.
+    """
+    try:
+        yield
+    finally:
+        _resolve.cache_clear()
+
+
 def check_referability(schema: BinarySchema) -> list[Diagnostic]:
     """Findings of the referability analysis (one per NOLOT)."""
-    resolver = ReferenceResolver(schema)
+    resolver = resolver_for(schema)
     diagnostics = []
     for type_name in sorted(resolver.non_referable()):
         candidates = candidate_schemes(schema, type_name)

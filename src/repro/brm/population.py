@@ -781,17 +781,18 @@ class Population:
         and supertypes propagate under ``schema`` exactly as
         :meth:`add_instances` and :meth:`add_facts` propagate them.
         Names only one schema declares are dropped or start empty.
+        Empty sets are skipped: both adders return early on them.
         The projection is independent of this population.
         """
         projected = Population(schema)
         projected.seed_intern_from(self)
         targets = projected._objects
         for name, members in self._objects.items():
-            if name in targets:
+            if members and name in targets:
                 projected.add_instance_ids(name, members)
         pairs = projected._pairs
         for name, id_pairs in self._pairs.items():
-            if name in pairs:
+            if id_pairs and name in pairs:
                 projected.add_pair_ids(name, id_pairs)
         return projected
 

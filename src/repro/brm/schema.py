@@ -101,12 +101,15 @@ class BinarySchema:
         """Add a fact type; both players must already exist."""
         if fact_type.name in self._fact_types:
             raise DuplicateNameError("fact type", fact_type.name)
-        for role in fact_type.roles:
-            if role.player not in self._object_types:
-                raise UnknownElementError("object type", role.player)
+        self._check_fact_type(fact_type)
         self._fact_types[fact_type.name] = fact_type
         self._bump()
         return fact_type
+
+    def _check_fact_type(self, fact_type: FactType) -> None:
+        for role in fact_type.roles:
+            if role.player not in self._object_types:
+                raise UnknownElementError("object type", role.player)
 
     def add_sublink(self, sublink: SublinkType) -> SublinkType:
         """Add a sublink type.
@@ -117,6 +120,12 @@ class BinarySchema:
         """
         if sublink.name in self._sublinks:
             raise DuplicateNameError("sublink type", sublink.name)
+        self._check_sublink(sublink)
+        self._sublinks[sublink.name] = sublink
+        self._bump()
+        return sublink
+
+    def _check_sublink(self, sublink: SublinkType) -> None:
         for end in (sublink.subtype, sublink.supertype):
             if end not in self._object_types:
                 raise UnknownElementError("object type", end)
@@ -125,21 +134,35 @@ class BinarySchema:
                     f"sublink {sublink.name!r}: LOT {end!r} cannot take "
                     "part in a sublink type"
                 )
-        if sublink.supertype in self.descendants_of(sublink.subtype):
+        # The subtypes below the new subtype, walked over every other
+        # sublink: a replacement's own former link is not part of the
+        # graph it joins.
+        below: set[str] = set()
+        frontier = [sublink.subtype]
+        by_supertype = indexes_for(self).sublinks_by_supertype
+        while frontier:
+            for other in by_supertype.get(frontier.pop(), ()):
+                if other.name != sublink.name and other.subtype not in below:
+                    below.add(other.subtype)
+                    frontier.append(other.subtype)
+        if sublink.supertype in below:
             raise SchemaError(
                 f"sublink {sublink.name!r} would create a subtype cycle "
                 f"between {sublink.subtype!r} and {sublink.supertype!r}"
             )
         if sublink.supertype == sublink.subtype:
             raise SchemaError(f"sublink {sublink.name!r} is reflexive")
-        self._sublinks[sublink.name] = sublink
-        self._bump()
-        return sublink
 
     def add_constraint(self, constraint: Constraint) -> Constraint:
         """Add a constraint; every item it ranges over must exist."""
         if constraint.name in self._constraints:
             raise DuplicateNameError("constraint", constraint.name)
+        self._check_constraint(constraint)
+        self._constraints[constraint.name] = constraint
+        self._bump()
+        return constraint
+
+    def _check_constraint(self, constraint: Constraint) -> None:
         for item in items_of(constraint):
             self._check_item(constraint.name, item)
         if isinstance(constraint, (TotalUnionConstraint, ValueConstraint)):
@@ -153,6 +176,44 @@ class BinarySchema:
                     f"value constraint {constraint.name!r} must target a "
                     "lexical object type"
                 )
+
+    # -- order-preserving replacement ----------------------------------
+    #
+    # A replacement is validated exactly as the matching ``add_*``
+    # validates a new element, and keeps its name and its place in
+    # insertion order, so a transformation can rewrite the few
+    # elements it changes instead of rebuilding the schema.  Elements
+    # that refer to a replaced one are not re-checked; a fact keeps
+    # its role names, so the constraints over its roles still resolve.
+
+    def replace_fact_type(self, fact_type: FactType) -> FactType:
+        """Swap in a new version of the fact type of the same name.
+
+        The role names must stay those of the fact it replaces.
+        """
+        current = self.fact_type(fact_type.name)
+        if {r.name for r in fact_type.roles} != {r.name for r in current.roles}:
+            raise SchemaError(
+                f"fact type {fact_type.name!r}: a replacement must keep "
+                f"the role names {sorted(r.name for r in current.roles)!r}"
+            )
+        self._check_fact_type(fact_type)
+        self._fact_types[fact_type.name] = fact_type
+        self._bump()
+        return fact_type
+
+    def replace_sublink(self, sublink: SublinkType) -> SublinkType:
+        """Swap in a new version of the sublink type of the same name."""
+        self.sublink(sublink.name)
+        self._check_sublink(sublink)
+        self._sublinks[sublink.name] = sublink
+        self._bump()
+        return sublink
+
+    def replace_constraint(self, constraint: Constraint) -> Constraint:
+        """Swap in a new version of the constraint of the same name."""
+        self.constraint(constraint.name)
+        self._check_constraint(constraint)
         self._constraints[constraint.name] = constraint
         self._bump()
         return constraint
@@ -246,14 +307,12 @@ class BinarySchema:
         if name not in self._sublinks:
             raise UnknownElementError("sublink type", name)
         for constraint in self._constraints.values():
-            if any(
-                isinstance(item, SublinkRef) and item.sublink == name
-                for item in items_of(constraint)
-            ):
-                raise SchemaError(
-                    f"sublink {name!r} is still constrained by "
-                    f"{constraint.name!r}"
-                )
+            for item in items_of(constraint):
+                if isinstance(item, SublinkRef) and item.sublink == name:
+                    raise SchemaError(
+                        f"sublink {name!r} is still constrained by "
+                        f"{constraint.name!r}"
+                    )
         del self._sublinks[name]
         self._bump()
 

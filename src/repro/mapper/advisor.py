@@ -46,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.analyzer.implication import check_implications
+from repro.analyzer.referability import resolution_scope
 from repro.brm.schema import BinarySchema
 from repro.engine.cost import CostModel
 from repro.mapper.engine import (
@@ -540,7 +541,9 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
     (module-level functions).
     """
     tracer = obs.active()
-    with obs.span("advisor.advise", schema=schema.name) as advise_span:
+    with obs.span(
+        "advisor.advise", schema=schema.name
+    ) as advise_span, resolution_scope():
         if space is None:
             space = discover_space(schema)
         with obs.span("advisor.enumerate"):

@@ -41,6 +41,7 @@ import copy
 from dataclasses import dataclass
 
 from repro.analyzer.api import analyze
+from repro.analyzer.referability import resolution_scope
 from repro.brm.schema import BinarySchema
 from repro.errors import AnalysisError, MappingError
 from repro.mapper.lossless import materialize
@@ -215,7 +216,7 @@ def map_schema(
     mode = resolve_mode(robustness)
     with _obs_span(
         "mapper.map_schema", schema=schema.name, mode=mode.value
-    ):
+    ), resolution_scope():
         if analyze_first:
             _gate(schema, options)
         if checkpoints is not None:

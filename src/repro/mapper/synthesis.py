@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analyzer.referability import resolver_for
 from repro.brm.facts import FactType, RoleId
 from repro.brm.indexes import indexes_for
 from repro.brm.reference import LexicalLeaf, ReferenceResolver
@@ -159,7 +160,7 @@ def build_plan(state: MappingState) -> MappingPlan:
         for sublink in schema.sublinks:
             if sublink.subtype not in preferences:
                 preferences[sublink.subtype] = (f"via:{sublink.name}",)
-    resolver = ReferenceResolver(schema, preferences=preferences)
+    resolver = resolver_for(schema, preferences)
     plan = MappingPlan(schema=schema, resolver=resolver, options=state.options)
     _detect_disjunctive(state, plan)
     _check_referability(state, plan)

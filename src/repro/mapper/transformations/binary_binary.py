@@ -26,6 +26,7 @@ binary phase is a composition of lossless state mappings.
 from __future__ import annotations
 
 from repro.brm.constraints import (
+    SET_ALGEBRAIC_KINDS,
     Constraint,
     EqualityConstraint,
     ExclusionConstraint,
@@ -245,75 +246,106 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
     constraints (lossless rules), and each optional former role is
     tied to the anchor by a subset constraint.  A subtype without any
     total role gets a synthesized indicator fact instead.
+
+    The step edits one copy of the working schema in place: it deletes
+    the subtype and the sublink, replaces in their positions only the
+    facts, sublinks and constraints that name them, and appends the
+    lossless rules, so every other element keeps its place.
     """
     old_schema = state.schema
     sublink = old_schema.sublink(sublink_name)
     subtype, supertype = sublink.subtype, sublink.supertype
 
-    if len(old_schema.supertypes_of(subtype)) > 1:
+    # Plain scans, not index queries: every elimination leaves a new
+    # schema version, whose index sections would be rebuilt each time.
+    supertypes = {s.supertype for s in old_schema.sublinks if s.subtype == subtype}
+    if len(supertypes) > 1:
         raise MappingError(
             f"cannot apply TOGETHER to sublink {sublink_name!r}: subtype "
             f"{subtype!r} has multiple supertypes; override this sublink "
             "to SEPARATE or INDICATOR"
         )
+    moved_facts = [
+        fact
+        for fact in old_schema.fact_types
+        if fact.first.player == subtype or fact.second.player == subtype
+    ]
+    moved_roles = tuple(
+        RoleId(fact.name, role.name)
+        for fact in moved_facts
+        for role in fact.roles
+        if role.player == subtype
+    )
+    total_roles, reference_roles = _total_and_reference_roles(
+        old_schema, moved_roles
+    )
+    anchors = [r for r in moved_roles if r in total_roles]
+    anchor = _preferred_anchor(anchors, reference_roles)
 
-    moved_roles = tuple(old_schema.roles_played_by(subtype))
-    anchors = [r for r in moved_roles if old_schema.is_total(r)]
-    anchor = _preferred_anchor(old_schema, anchors)
-
-    new_schema = BinarySchema(old_schema.name)
-    for object_type in old_schema.object_types:
-        if object_type.name != subtype:
-            new_schema.add_object_type(object_type)
-    for fact in old_schema.fact_types:
-        new_schema.add_fact_type(_replay_fact(fact, subtype, supertype))
+    schema = old_schema.copy()
+    for fact in moved_facts:
+        schema.replace_fact_type(_replay_fact(fact, subtype, supertype))
     for other in old_schema.sublinks:
-        if other.name == sublink_name:
-            continue
         if other.supertype == subtype:
-            new_schema.add_sublink(
+            schema.replace_sublink(
                 SublinkType(other.name, other.subtype, supertype)
             )
-        else:
-            new_schema.add_sublink(other)
 
     lossless: list[str] = []
     dropped_totals: list[str] = []
-    # The (subset, superset) pairs written so far: asking the schema
-    # would rebuild its constraint index after every add.
-    subset_pairs: set[tuple[RoleId, RoleId]] = set()
+    eliminated = SublinkRef(sublink_name)
+    # The subset constraints into the anchor, by subset end: asking
+    # the schema would build its constraint index.
+    into_anchor: set[RoleId] = set()
     for constraint in old_schema.constraints:
-        rewritten = _rewrite_constraint(
-            state, old_schema, constraint, sublink_name, subtype, anchor
-        )
-        if rewritten is None:
-            dropped_totals.append(constraint.name)
-            continue
-        new_schema.add_constraint(rewritten)
-        if isinstance(rewritten, SubsetConstraint):
-            subset_pairs.add((rewritten.subset, rewritten.superset))
+        # ``_rewrite_constraint`` changes only the totals on the subtype
+        # and the constraints over the sublink; every other one stays.
+        if (
+            isinstance(constraint, TotalUnionConstraint)
+            and constraint.object_type == subtype
+        ) or (
+            isinstance(constraint, SET_ALGEBRAIC_KINDS)
+            and eliminated in items_of(constraint)
+        ):
+            rewritten = _rewrite_constraint(
+                state, old_schema, constraint, sublink_name, subtype, anchor
+            )
+            if rewritten is None:
+                dropped_totals.append(constraint.name)
+                schema.remove_constraint(constraint.name)
+                continue
+            schema.replace_constraint(rewritten)
+        else:
+            rewritten = constraint
+        if (
+            isinstance(rewritten, SubsetConstraint)
+            and rewritten.superset == anchor
+        ):
+            into_anchor.add(rewritten.subset)
+    schema.remove_sublink(sublink_name)
+    schema.remove_object_type(subtype)
 
     # Lossless rules: anchors carry the membership set.
     if anchor is not None:
         if len(anchors) > 1:
-            name = new_schema.fresh_name(f"LL_EE_{sublink_name}")
-            new_schema.add_constraint(
+            name = schema.fresh_name(f"LL_EE_{sublink_name}")
+            schema.add_constraint(
                 EqualityConstraint(name, items=tuple(anchors))
             )
             lossless.append(name)
         for role in moved_roles:
             if role in anchors or role == anchor:
                 continue
-            if (role, anchor) not in subset_pairs:
-                name = new_schema.fresh_name(f"LL_DE_{sublink_name}")
-                new_schema.add_constraint(
+            if role not in into_anchor:
+                name = schema.fresh_name(f"LL_DE_{sublink_name}")
+                schema.add_constraint(
                     SubsetConstraint(name, subset=role, superset=anchor)
                 )
-                subset_pairs.add((role, anchor))
+                into_anchor.add(role)
                 lossless.append(name)
 
     indicator_fact: str | None = None
-    state.schema = new_schema
+    state.schema = schema
     if anchor is None:
         indicator_fact = _synthesize_indicator(state, subtype, supertype)
         lossless.append(indicator_fact)
@@ -371,13 +403,34 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
     state.add_population_maps(forward, backward)
 
 
+def _total_and_reference_roles(
+    schema: BinarySchema, roles: tuple[RoleId, ...]
+) -> tuple[set[RoleId], set[RoleId]]:
+    """Which of ``roles`` are total, and which carry a reference bar:
+    the ``is_total`` and ``reference_roles`` answers, read in one pass."""
+    wanted = set(roles)
+    totals: set[RoleId] = set()
+    references: set[RoleId] = set()
+    for constraint in schema.constraints:
+        if isinstance(constraint, TotalUnionConstraint):
+            if constraint.is_total_role and constraint.items[0] in wanted:
+                totals.add(constraint.items[0])
+        elif isinstance(constraint, UniquenessConstraint):
+            if (
+                constraint.is_reference
+                and constraint.is_simple
+                and constraint.roles[0] in wanted
+            ):
+                references.add(constraint.roles[0])
+    return totals, references
+
+
 def _preferred_anchor(
-    schema: BinarySchema, anchors: list[RoleId]
+    anchors: list[RoleId], reference_roles: set[RoleId]
 ) -> RoleId | None:
     """The representative total role: the reference fact if possible."""
     if not anchors:
         return None
-    reference_roles = indexes_for(schema).reference_roles
     for role in anchors:
         if role in reference_roles:
             return role

@@ -4,6 +4,7 @@ import pytest
 
 from repro.brm import Population, RoleId, SchemaBuilder, SublinkRef, char, numeric
 from repro.errors import PopulationError
+from repro.workloads import SchemaShape, generate_population, generate_schema
 
 
 @pytest.fixture
@@ -333,6 +334,36 @@ class TestProject:
         assert pop.project(_eliminated_schema()) == _by_value(
             pop, _eliminated_schema()
         )
+
+    def test_skipping_empty_sets_matches_the_unskipped_loop(self, schema):
+        pop = Population(schema)
+        pop.add_fact("has_id", "p1", "ID1")  # Session, scheduled stay empty
+        cases = [(pop, _eliminated_schema()), (pop, schema)]
+        shape = SchemaShape(entity_types=6, subtype_ratio=0.4)
+        for seed in range(4):
+            generated = generate_schema(shape, seed)
+            full = generate_population(generated, instances_per_type=3, seed=seed)
+            partial = Population(generated)
+            for index, fact in enumerate(generated.fact_types):
+                if index % 2:  # every other fact, and its players, stays empty
+                    partial.add_facts(fact.name, full.fact_instances(fact.name))
+            cases += [(full, generated), (partial, generated)]
+        for source, target in cases:
+            assert any(not ids for ids in source._objects.values())
+            projected = source.project(target)
+            unskipped = Population(target)
+            unskipped.seed_intern_from(source)
+            for name, members in source._objects.items():
+                if name in unskipped._objects:
+                    unskipped.add_instance_ids(name, members)
+            for name, id_pairs in source._pairs.items():
+                if name in unskipped._pairs:
+                    unskipped.add_pair_ids(name, id_pairs)
+            assert projected == unskipped
+            assert projected.as_dict() == unskipped.as_dict()
+            assert projected._values == unskipped._values
+            assert projected._version == unskipped._version
+            assert projected._type_versions == unskipped._type_versions
 
     def test_mutating_a_projection_leaves_the_source(self, schema):
         pop = Population(schema)

@@ -141,6 +141,96 @@ class TestRemoval:
             schema.remove_constraint("nope")
 
 
+class TestReplacement:
+    """Order-preserving replacement, validated as ``add_*`` validates."""
+
+    def test_replacements_keep_their_place(self, schema):
+        schema.add_object_type(nolot("Other"))
+        schema.add_fact_type(
+            FactType("last", Role("a", "Paper"), Role("b", "Paper_Id"))
+        )
+        schema.add_sublink(SublinkType("O_IS_Paper", "Other", "Paper"))
+        schema.add_constraint(
+            UniquenessConstraint("U1", roles=(RoleId("has_id", "with"),))
+        )
+        schema.add_constraint(
+            UniquenessConstraint("U2", roles=(RoleId("last", "a"),))
+        )
+        before = schema.version
+        schema.replace_fact_type(
+            FactType("has_id", Role("with", "Program_Paper"),
+                     Role("of", "Paper_Id"))
+        )
+        schema.replace_sublink(SublinkType("PP_IS_Paper", "Program_Paper", "Other"))
+        schema.replace_constraint(
+            UniquenessConstraint("U1", roles=(RoleId("has_id", "of"),))
+        )
+        assert schema.version != before
+        assert [f.name for f in schema.fact_types] == ["has_id", "last"]
+        assert schema.fact_type("has_id").first.player == "Program_Paper"
+        assert [s.name for s in schema.sublinks] == ["PP_IS_Paper", "O_IS_Paper"]
+        assert schema.ancestors_of("Program_Paper") == {"Other", "Paper"}
+        assert [c.name for c in schema.constraints] == ["U1", "U2"]
+        assert schema.constraint("U1").roles == (RoleId("has_id", "of"),)
+        assert schema.is_unique(RoleId("has_id", "of"))
+
+    def test_unknown_names_are_rejected(self, schema):
+        with pytest.raises(UnknownElementError):
+            schema.replace_fact_type(
+                FactType("nope", Role("a", "Paper"), Role("b", "Paper_Id"))
+            )
+        with pytest.raises(UnknownElementError):
+            schema.replace_sublink(SublinkType("nope", "Program_Paper", "Paper"))
+        with pytest.raises(UnknownElementError):
+            schema.replace_constraint(
+                UniquenessConstraint("nope", roles=(RoleId("has_id", "of"),))
+            )
+
+    def test_replacements_validate_like_additions(self, schema):
+        unique = UniquenessConstraint("U1", roles=(RoleId("has_id", "with"),))
+        schema.add_constraint(unique)
+        version = schema.version
+        with pytest.raises(UnknownElementError):
+            schema.replace_fact_type(
+                FactType("has_id", Role("with", "Missing"), Role("of", "Paper_Id"))
+            )
+        with pytest.raises(SchemaError):
+            schema.replace_sublink(
+                SublinkType("PP_IS_Paper", "Program_Paper", "Paper_Id")
+            )
+        with pytest.raises(UnknownElementError):
+            schema.replace_constraint(
+                UniquenessConstraint("U1", roles=(RoleId("has_id", "nope"),))
+            )
+        with pytest.raises(ConstraintError):
+            schema.replace_constraint(
+                TotalUnionConstraint(
+                    "U1", object_type="Paper_Id", items=(RoleId("has_id", "with"),)
+                )
+            )
+        assert schema.version == version
+        assert schema.constraint("U1") is unique
+
+    def test_a_fact_keeps_its_role_names(self, schema):
+        with pytest.raises(SchemaError, match="role names"):
+            schema.replace_fact_type(
+                FactType("has_id", Role("by", "Paper"), Role("of", "Paper_Id"))
+            )
+
+    def test_the_replaced_link_is_not_part_of_the_cycle_check(self):
+        s = BinarySchema("chain")
+        for name in ("A", "B", "C"):
+            s.add_object_type(nolot(name))
+        s.add_sublink(SublinkType("s1", "B", "A"))
+        s.add_sublink(SublinkType("s2", "C", "B"))
+        # A < C closes no cycle once s2 (C < B) is gone, though A
+        # reaches C through s2 before the replacement.
+        s.replace_sublink(SublinkType("s2", "A", "C"))
+        assert s.ancestors_of("B") == {"A", "C"}
+        with pytest.raises(SchemaError, match="cycle"):
+            s.replace_sublink(SublinkType("s2", "A", "B"))
+
+
 class TestNavigation:
     def test_role_resolution(self, schema):
         assert schema.role(RoleId("has_id", "with")).player == "Paper"

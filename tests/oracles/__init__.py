@@ -19,7 +19,9 @@ candidate's relation on a spliced fork of the clean database
 own condensed subset graph and emptiness propagation, which the
 shared inclusion graph and solver replaced (``analyzer``), and the
 advisor's one ``map_prefix`` per prefix group, which the shared binary
-phase per binary group replaced (``mapper.prefix_group_advise``).
+phase per binary group replaced (``mapper.prefix_group_advise``), and
+the TOGETHER elimination that rebuilt the whole schema per sublink,
+which the in-place edit replaced (``mapper.eliminate_sublink``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

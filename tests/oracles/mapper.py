@@ -29,6 +29,17 @@ candidates grouped by ``prefix_key()`` alone, and one whole
 run serially.  ``tests/mapper/test_binary_seam.py`` asserts that
 ``advise``, which runs the binary phase once per binary group, ranks
 and reports every candidate the same.
+
+:func:`eliminate_sublink` keeps the TOGETHER elimination that rebuilt
+the whole schema for every eliminated sublink: a fresh
+``BinarySchema`` re-adding every object type but the subtype, every
+fact replayed onto the supertype, every other sublink and every
+rewritten constraint, then the lossless rules.  The rewriting helpers
+it calls are the production ones.
+``tests/mapper/test_sublink_elimination_oracle.py`` asserts that the
+in-place elimination leaves the same elements in the same order, the
+same steps, hints and pseudo constraints, and the same population
+maps.
 """
 
 from __future__ import annotations
@@ -36,9 +47,13 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from repro.analyzer.implication import check_implications
+from repro.brm.constraints import EqualityConstraint, SubsetConstraint
+from repro.brm.facts import RoleId
+from repro.brm.indexes import indexes_for
 from repro.brm.population import Population
 from repro.brm.reference import LexicalLeaf
 from repro.brm.schema import BinarySchema
+from repro.brm.sublinks import SublinkType
 from repro.engine.cost import CostModel, TableStatistics, entity_fetch_cost
 from repro.engine.database import Database
 from repro.errors import MappingError
@@ -59,8 +74,15 @@ from repro.mapper.optionspace import (
 )
 from repro.mapper.rulebase import Rule
 from repro.mapper.plan import FactPairs, RelationPlan, RolePlayers
+from repro.mapper.state import EliminationRecord, MappingState
 from repro.mapper.state_map import RelationalStateMap, _BackwardPrep
 from repro.mapper.synthesis import MappingPlan
+from repro.mapper.transformations.binary_binary import (
+    _indicated,
+    _replay_fact,
+    _rewrite_constraint,
+    _synthesize_indicator,
+)
 from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
 from repro.workloads.statistics import QueryPattern, WorkloadProfile
 
@@ -583,3 +605,163 @@ def _run_group(
                 )
             )
     return outcomes
+
+
+def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
+    """The figure-4 transformation for the TOGETHER policy.
+
+    The subtype's roles are re-played by the supertype; its total
+    roles become the membership *anchors*, tied together by equality
+    constraints (lossless rules), and each optional former role is
+    tied to the anchor by a subset constraint.  A subtype without any
+    total role gets a synthesized indicator fact instead.
+    """
+    old_schema = state.schema
+    sublink = old_schema.sublink(sublink_name)
+    subtype, supertype = sublink.subtype, sublink.supertype
+
+    if len(old_schema.supertypes_of(subtype)) > 1:
+        raise MappingError(
+            f"cannot apply TOGETHER to sublink {sublink_name!r}: subtype "
+            f"{subtype!r} has multiple supertypes; override this sublink "
+            "to SEPARATE or INDICATOR"
+        )
+
+    moved_roles = tuple(old_schema.roles_played_by(subtype))
+    anchors = [r for r in moved_roles if old_schema.is_total(r)]
+    anchor = _preferred_anchor(old_schema, anchors)
+
+    new_schema = BinarySchema(old_schema.name)
+    for object_type in old_schema.object_types:
+        if object_type.name != subtype:
+            new_schema.add_object_type(object_type)
+    for fact in old_schema.fact_types:
+        new_schema.add_fact_type(_replay_fact(fact, subtype, supertype))
+    for other in old_schema.sublinks:
+        if other.name == sublink_name:
+            continue
+        if other.supertype == subtype:
+            new_schema.add_sublink(
+                SublinkType(other.name, other.subtype, supertype)
+            )
+        else:
+            new_schema.add_sublink(other)
+
+    lossless: list[str] = []
+    dropped_totals: list[str] = []
+    # The (subset, superset) pairs written so far: asking the schema
+    # would rebuild its constraint index after every add.
+    subset_pairs: set[tuple[RoleId, RoleId]] = set()
+    for constraint in old_schema.constraints:
+        rewritten = _rewrite_constraint(
+            state, old_schema, constraint, sublink_name, subtype, anchor
+        )
+        if rewritten is None:
+            dropped_totals.append(constraint.name)
+            continue
+        new_schema.add_constraint(rewritten)
+        if isinstance(rewritten, SubsetConstraint):
+            subset_pairs.add((rewritten.subset, rewritten.superset))
+
+    # Lossless rules: anchors carry the membership set.
+    if anchor is not None:
+        if len(anchors) > 1:
+            name = new_schema.fresh_name(f"LL_EE_{sublink_name}")
+            new_schema.add_constraint(
+                EqualityConstraint(name, items=tuple(anchors))
+            )
+            lossless.append(name)
+        for role in moved_roles:
+            if role in anchors or role == anchor:
+                continue
+            if (role, anchor) not in subset_pairs:
+                name = new_schema.fresh_name(f"LL_DE_{sublink_name}")
+                new_schema.add_constraint(
+                    SubsetConstraint(name, subset=role, superset=anchor)
+                )
+                subset_pairs.add((role, anchor))
+                lossless.append(name)
+
+    indicator_fact: str | None = None
+    state.schema = new_schema
+    if anchor is None:
+        indicator_fact = _synthesize_indicator(state, subtype, supertype)
+        lossless.append(indicator_fact)
+    schema_after = state.schema
+
+    record = EliminationRecord(
+        sublink=sublink_name,
+        subtype=subtype,
+        supertype=supertype,
+        anchor=anchor,
+        indicator_fact=indicator_fact,
+        moved_roles=moved_roles,
+    )
+    state.hints.eliminations[sublink_name] = record
+    state.record(
+        "eliminate-sublink",
+        "binary-binary",
+        sublink_name,
+        f"SUBOT & SUPOT TOGETHER: roles of {subtype!r} re-played by "
+        f"{supertype!r}"
+        + (f", membership anchored on {anchor}" if anchor else
+           ", membership via indicator fact")
+        + (
+            ", folded total constraint(s) "
+            + ", ".join(dropped_totals)
+            + " into the membership anchor"
+            if dropped_totals
+            else ""
+        ),
+        tuple(lossless),
+    )
+
+    def forward(population: Population) -> Population:
+        if indicator_fact is None:
+            return population.project(schema_after)
+        return _indicated(
+            population, schema_after, indicator_fact, subtype, supertype
+        )
+
+    def backward(population: Population) -> Population:
+        # ``schema_after`` has no subtype: its members come back from
+        # the anchor role or the "Y" side of the indicator fact.
+        if anchor is not None:
+            members = population.role_population(anchor)
+        else:
+            members = frozenset(
+                first
+                for first, second in population.fact_instances(indicator_fact)
+                if second == "Y"
+            )
+        restored = population.project(old_schema)
+        restored.add_instances(subtype, members)
+        return restored
+
+    state.add_population_maps(forward, backward)
+
+
+def _preferred_anchor(
+    schema: BinarySchema, anchors: list[RoleId]
+) -> RoleId | None:
+    """The representative total role: the reference fact if possible."""
+    if not anchors:
+        return None
+    reference_roles = indexes_for(schema).reference_roles
+    for role in anchors:
+        if role in reference_roles:
+            return role
+    return anchors[0]
+
+
+def _preferred_anchor(
+    schema: BinarySchema, anchors: list[RoleId]
+) -> RoleId | None:
+    """The representative total role: the reference fact if possible."""
+    if not anchors:
+        return None
+    reference_roles = indexes_for(schema).reference_roles
+    for role in anchors:
+        if role in reference_roles:
+            return role
+    return anchors[0]
