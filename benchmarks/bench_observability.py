@@ -16,6 +16,7 @@ here on the same 90-entity rich-constraint workload as
 ``BENCH_observability.json`` via the calibrated wall times.
 """
 
+import gc
 from time import perf_counter
 
 import pytest
@@ -48,9 +49,14 @@ def industrial_schema():
 def _min_wall(run, repeats=REPEATS) -> float:
     """Best-of-N wall seconds — the standard noise-resistant estimate
     for overhead comparisons (the minimum is the least-disturbed run).
+
+    Each call starts from a collected heap, so the full collections
+    the call itself triggers land alike in every timing instead of in
+    whichever call the leftover garbage of the previous one tips over.
     """
     best = float("inf")
     for _ in range(repeats):
+        gc.collect()
         started = perf_counter()
         run()
         best = min(best, perf_counter() - started)

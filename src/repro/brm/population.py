@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence, Set
 from dataclasses import dataclass
 
 from repro.brm.constraints import (
@@ -48,6 +48,12 @@ from repro.brm.schema import BinarySchema
 from repro.errors import PopulationError
 
 Instance = Hashable
+
+#: The one population of every unpopulated name.  A new population
+#: maps each of its schema's names here instead of allocating a set per
+#: name; every writer stores a fresh set of its own before it adds, so
+#: this set is never mutated and no population shares a mutable set.
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -76,19 +82,22 @@ class Population:
       cached against a mutation version;
     * constraint checking (:meth:`check`) runs on id sets and column
       counters, touching individual instances only to phrase the
-      violations actually found.
+      violations actually found;
+    * a name nothing was added to holds the shared frozen empty set
+      (:data:`_EMPTY`), so an empty population allocates no set per
+      object type or fact type.
     """
 
     def __init__(self, schema: BinarySchema) -> None:
         self.schema = schema
         self._intern: dict[Instance, int] = {}
         self._values: list[Instance] = []
-        self._objects: dict[str, set[int]] = {
-            t.name: set() for t in schema.object_types
-        }
-        self._pairs: dict[str, set[tuple[int, int]]] = {
-            f.name: set() for f in schema.fact_types
-        }
+        self._objects: dict[str, Set[int]] = dict.fromkeys(
+            schema.object_type_names, _EMPTY
+        )
+        self._pairs: dict[str, Set[tuple[int, int]]] = dict.fromkeys(
+            schema.fact_type_names, _EMPTY
+        )
         self._version = 0
         # Lazy, version-tagged derived structures.  ``_sorted_cache``
         # is tagged with a per-type version so columns of untouched
@@ -282,15 +291,16 @@ class Population:
         fact = self.schema.fact_type(fact_name)
         self._grow(fact.first.player, firsts)
         self._grow(fact.second.player, seconds)
-        self._pairs[fact_name].update(id_pairs)
+        _writable(self._pairs, fact_name).update(id_pairs)
 
     def _grow(self, type_name: str, new: set[int]) -> None:
         """Add ids to a type and its supertypes.  Only a set that grew
         gets a new per-type version (sets only grow here, so the same
         size is the same set): the others keep their :meth:`ordered_ids`."""
         version = self._version
+        objects = self._objects
         for name in (type_name, *self.schema.ancestors_of(type_name)):
-            members = self._objects[name]
+            members = _writable(objects, name)
             size = len(members)
             members.update(new)
             if len(members) != size:
@@ -301,13 +311,14 @@ class Population:
         pair = (self._intern.get(first), self._intern.get(second))
         if fact_name not in self._pairs:
             raise PopulationError(f"no fact type {fact_name!r} in the schema")
-        try:
-            self._pairs[fact_name].remove(pair)  # type: ignore[arg-type]
-            self._version += 1
-        except KeyError:
+        pairs = self._pairs[fact_name]
+        if pair not in pairs:
             raise PopulationError(
                 f"fact {fact_name!r} has no instance ({first!r}, {second!r})"
-            ) from None
+            )
+        # Holding the pair, the set is this population's own, not _EMPTY.
+        pairs.remove(pair)
+        self._version += 1
 
     def discard_instance(self, type_name: str, instance: Instance) -> None:
         """Remove an instance from a type and all its subtypes.
@@ -325,18 +336,24 @@ class Population:
             )
         self._version += 1
         version = self._version
+        # A set holding the id is this population's own, not _EMPTY.
         self._objects[type_name].discard(interned)
         self._type_versions[type_name] = version
         for descendant in self.schema.descendants_of(type_name):
-            self._objects[descendant].discard(interned)
+            members = self._objects[descendant]
+            if interned in members:
+                members.discard(interned)
             self._type_versions[descendant] = version
 
     # ------------------------------------------------------------------
     # Access — id level (the kernel interface)
     # ------------------------------------------------------------------
 
-    def instance_ids(self, type_name: str) -> set[int]:
-        """The live id set of an object type (do not mutate)."""
+    def instance_ids(self, type_name: str) -> Set[int]:
+        """The live id set of an object type (do not mutate).
+
+        An unpopulated type answers the shared empty frozenset.
+        """
         if type_name not in self._objects:
             raise PopulationError(f"no object type {type_name!r} in the schema")
         return self._objects[type_name]
@@ -371,8 +388,11 @@ class Population:
         values = self._values
         return sorted(ids, key=lambda i: repr(values[i]))
 
-    def pair_ids(self, fact_name: str) -> set[tuple[int, int]]:
-        """The live id-pair set of a fact type (do not mutate)."""
+    def pair_ids(self, fact_name: str) -> Set[tuple[int, int]]:
+        """The live id-pair set of a fact type (do not mutate).
+
+        An unpopulated fact type answers the shared empty frozenset.
+        """
         if fact_name not in self._pairs:
             raise PopulationError(f"no fact type {fact_name!r} in the schema")
         return self._pairs[fact_name]
@@ -478,7 +498,7 @@ class Population:
         values = self._values
         return frozenset(values[i] for i in self._item_ids(item))
 
-    def _item_ids(self, item: ConstraintItem) -> set[int]:
+    def _item_ids(self, item: ConstraintItem) -> Set[int]:
         if isinstance(item, RoleId):
             return self._role_ids(item)
         sublink = self.schema.sublink(item.sublink)
@@ -763,10 +783,12 @@ class Population:
         duplicate._intern = dict(self._intern)
         duplicate._values = list(self._values)
         duplicate._objects = {
-            name: set(members) for name, members in self._objects.items()
+            name: set(members) if members else _EMPTY
+            for name, members in self._objects.items()
         }
         duplicate._pairs = {
-            name: set(pairs) for name, pairs in self._pairs.items()
+            name: set(pairs) if pairs else _EMPTY
+            for name, pairs in self._pairs.items()
         }
         return duplicate
 
@@ -876,3 +898,13 @@ class Population:
             f"instances, {facts} fact instances, "
             f"{len(self._values)} interned values>"
         )
+
+
+def _writable(table: dict[str, Set], name: str) -> set:
+    """The set a population stores under ``name``, made its own: an
+    unpopulated name's frozenset (:data:`_EMPTY`, or the copy of it
+    that unpickling makes) is replaced by a fresh set first."""
+    members = table[name]
+    if isinstance(members, frozenset):
+        members = table[name] = set()
+    return members

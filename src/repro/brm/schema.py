@@ -23,7 +23,7 @@ detection instead of structural diffs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, KeysView
 
 from repro.brm.constraints import (
     Constraint,
@@ -393,6 +393,27 @@ class BinarySchema:
     def constraints(self) -> tuple[Constraint, ...]:
         """All constraints, in insertion order."""
         return tuple(self._constraints.values())
+
+    @property
+    def object_type_names(self) -> KeysView[str]:
+        """The names of all object types, in insertion order.
+
+        A live view, not a copy: it follows later mutations, so copy
+        it before mutating the schema while iterating.
+        """
+        return self._object_types.keys()
+
+    @property
+    def fact_type_names(self) -> KeysView[str]:
+        """The names of all fact types, in insertion order (a live view,
+        like :attr:`object_type_names`)."""
+        return self._fact_types.keys()
+
+    @property
+    def constraint_names(self) -> KeysView[str]:
+        """The names of all constraints, in insertion order (a live
+        view, like :attr:`object_type_names`)."""
+        return self._constraints.keys()
 
     # ------------------------------------------------------------------
     # Role navigation

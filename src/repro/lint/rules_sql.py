@@ -113,20 +113,24 @@ def check_checker_identifier_unportable(context):
     truncate or treat as a reserved word cannot run there unquoted —
     the rule would be silently unenforceable on that target.
     """
-    from repro.executor.compile import compile_rules
-
-    schema = context.result.relational
-    known = {name for _, name in _identifiers(context.result)}
     limit = context.profile.max_identifier_length
     reserved = context.profile.reserved_words
-    for rule in compile_rules(schema):
-        referenced = set(
-            re.findall(r"[A-Za-z][A-Za-z0-9_$#]*", rule.sql)
-        )
+    unportable = {
+        name
+        for _, name in _identifiers(context.result)
+        if len(name) > limit or name.upper() in reserved
+    }
+    # No query can reference an unportable name when none exists, so
+    # the checkers need not be compiled and scanned.
+    if not unportable:
+        return
+    from repro.executor.compile import compile_rules
+
+    for rule in compile_rules(context.result.relational):
         offending = sorted(
-            name
-            for name in referenced & known
-            if len(name) > limit or name.upper() in reserved
+            unportable.intersection(
+                re.findall(r"[A-Za-z][A-Za-z0-9_$#]*", rule.sql)
+            )
         )
         if offending:
             yield rule.name, (

@@ -283,8 +283,14 @@ class _Lifter:
         self.notes.append(LiftNote(kind, subject, detail))
 
     def fact_name(self, stem: str) -> str:
-        name = naming.disambiguate(stem, self.reserved | self.fact_names)
-        self.fact_names.add(name)
+        # naming.disambiguate over reserved | fact_names, without
+        # building the union on every call.
+        reserved, taken = self.reserved, self.fact_names
+        name, counter = stem, 2
+        while name in reserved or name in taken:
+            name = f"{stem}_{counter}"
+            counter += 1
+        taken.add(name)
         return name
 
     # -- main entry -----------------------------------------------------
@@ -1094,7 +1100,7 @@ class _Lifter:
         return True
 
     def _last_constraint(self) -> str:
-        return self.b.schema.constraints[-1].name
+        return next(reversed(self.b.schema.constraint_names))
 
     # -- pass 7: view constraints ---------------------------------------
 

@@ -1,8 +1,11 @@
 """Tests for populations as models of a binary schema."""
 
+import pickle
+
 import pytest
 
 from repro.brm import Population, RoleId, SchemaBuilder, SublinkRef, char, numeric
+from repro.brm.population import _EMPTY
 from repro.errors import PopulationError
 from repro.workloads import SchemaShape, generate_population, generate_schema
 
@@ -205,8 +208,9 @@ class TestSetAlgebraicChecking:
         b.subtype("B", "A")
         schema = b.build()
         pop = Population(schema)
-        # Bypass propagation deliberately.
-        pop._objects["B"].add(pop.intern("x"))
+        # Bypass propagation deliberately (a fresh set: the empty one
+        # is shared and frozen).
+        pop._objects["B"] = {pop.intern("x")}
         assert any(v.rule == "conformance" for v in pop.check())
 
 
@@ -376,3 +380,112 @@ class TestProject:
         projected.discard_instance("Paper", "p1")
         assert pop.as_dict() == before
         assert pop.id_of("p9") is None
+
+
+def _stored_sets(*populations):
+    """Every set the populations store, object types and fact types."""
+    return [
+        members
+        for population in populations
+        for table in (population._objects, population._pairs)
+        for members in table.values()
+    ]
+
+
+class TestSharedEmptySet:
+    """Unpopulated names share one frozen empty set; writers store sets
+    of their own."""
+
+    def test_a_new_population_holds_no_mutable_set(self, schema):
+        generated = generate_schema(SchemaShape(entity_types=6), seed=3)
+        for pop in (Population(schema), Population(generated)):
+            stored = _stored_sets(pop)
+            assert len(stored) == len(pop.schema.object_types) + len(
+                pop.schema.fact_types
+            )
+            assert all(members is _EMPTY for members in stored)
+            assert pop.is_empty()
+            assert pop.copy()._objects == pop._objects
+            assert all(m is _EMPTY for m in _stored_sets(pop.copy()))
+        assert Population(schema).instance_ids("Paper") is _EMPTY
+        assert Population(schema).pair_ids("scheduled") is _EMPTY
+
+    def test_writers_never_mutate_or_share_a_set(self, schema):
+        first, second = Population(schema), Population(schema)
+        for pop in (first, second):
+            pop.add_fact("scheduled", "p1", 7)
+            pop.add_instance("Paper", "p2")
+            pop.add_instance_ids("Session", {pop.intern(8)})
+            pop.add_pair_ids("has_id", [(pop.intern("p2"), pop.intern("ID2"))])
+        first.remove_fact("has_id", "p2", "ID2")
+        first.discard_instance("Paper", "p1")  # and from Program_Paper
+        second.discard_instance("Paper", "p2")  # Program_Paper lacks it
+        lone = Population(schema)
+        lone.add_instance("Paper", "p5")
+        lone.discard_instance("Paper", "p5")  # Program_Paper unpopulated
+        assert lone.instance_ids("Program_Paper") is _EMPTY
+        with pytest.raises(PopulationError):  # an unpopulated fact type
+            Population(schema).remove_fact("has_id", "p1", "ID1")
+        copies = [first.copy(), second.copy()]
+        projections = [first.project(schema), second.project(_eliminated_schema())]
+        copies[0].add_instance("Session", 9)
+        projections[0].add_fact("has_id", "p3", "ID3")
+        everything = [first, second, lone, *copies, *projections]
+        assert _EMPTY == frozenset() and not _EMPTY
+        stored = _stored_sets(*everything)
+        mutable = [members for members in stored if type(members) is set]
+        assert len({id(members) for members in mutable}) == len(mutable)
+        # A frozenset in the tables is only ever the empty one.
+        assert all(
+            members is _EMPTY for members in stored if type(members) is not set
+        )
+        assert first.instances("Paper") == {"p2"}
+        assert first.instances("Program_Paper") == frozenset()
+        assert first.fact_instances("has_id") == frozenset()
+        assert second.instances("Paper") == {"p1"}
+        assert copies[0].instances("Session") == {7, 8, 9}
+        assert first.instances("Session") == {7, 8}
+        assert projections[0].fact_instances("has_id") == {("p3", "ID3")}
+
+    def test_an_added_set_is_copied_not_adopted(self, schema):
+        pop = Population(schema)
+        ids = {pop.intern("p1"), pop.intern("p2")}
+        pop.add_instance_ids("Program_Paper", ids)
+        for name in ("Program_Paper", "Paper"):
+            assert pop.instance_ids(name) is not ids
+            assert pop.instance_ids(name) == ids
+        assert pop.instance_ids("Program_Paper") is not pop.instance_ids("Paper")
+        ids.add(pop.intern("p3"))
+        assert pop.instances("Program_Paper") == {"p1", "p2"}
+        assert pop.instances("Paper") == {"p1", "p2"}
+
+    def test_an_add_that_changes_nothing_keeps_the_sorted_ids(self, schema):
+        pop = Population(schema)
+        pop.add_instance_ids("Session", set())
+        assert pop.instance_ids("Session") is _EMPTY
+        assert "Session" not in pop._type_versions
+        pop.add_fact("scheduled", "p1", 7)
+        sessions, papers = pop.ordered_ids("Session"), pop.ordered_ids("Paper")
+        versions = dict(pop._type_versions)
+        pop.add_instance_ids("Session", {pop.id_of(7)})
+        pop.add_instance("Program_Paper", "p1")
+        assert pop._type_versions == versions
+        assert pop.ordered_ids("Session") is sessions
+        assert pop.ordered_ids("Paper") is papers
+
+    def test_pickling_round_trips(self, schema):
+        pop = Population(schema)
+        pop.add_fact("scheduled", "p1", 7)
+        restored = pickle.loads(pickle.dumps(pop))
+        assert restored == pop
+        assert restored.as_dict() == pop.as_dict()
+        # An unpickled population's empty sets are copies of _EMPTY; its
+        # writers still store sets of their own.
+        restored.add_fact("has_id", "p1", "ID1")
+        restored.add_instance("Program_Paper", "p2")
+        restored.remove_fact("scheduled", "p1", 7)
+        assert restored.fact_instances("has_id") == {("p1", "ID1")}
+        assert restored.instances("Paper") == {"p1", "p2"}
+        assert pop.fact_instances("has_id") == frozenset()
+        assert pop.fact_instances("scheduled") == {("p1", 7)}
+        assert pickle.loads(pickle.dumps(restored)) == restored

@@ -256,3 +256,28 @@ class TestRoundTripFuzzer:
         ):
             lifted = roundtrip(schema, options)
             assert len(lifted.schema.sublinks) == len(schema.sublinks)
+
+
+class TestFactNames:
+    def test_names_follow_the_disambiguate_rule(self):
+        from repro.mapper import naming
+        from repro.mapper.reverse import _Lifter
+        from repro.sql.parse import parse_ddl
+
+        ddl = map_schema(cris_schema(), MappingOptions()).sql("sql2")
+        lifter = _Lifter(parse_ddl(ddl))
+        # Fact-relation names the lift reserves, one already suffixed.
+        lifter.reserved |= {"R_has_a", "R_has_a_2"}
+        stems = ["R_has_a", "R_has_a", "R_has_b", "R_has_b", "R_has_a_3", "R_has_a"]
+        named, taken = [], set()
+        for stem in stems:
+            expected = naming.disambiguate(stem, lifter.reserved | taken)
+            taken.add(expected)
+            named.append(lifter.fact_name(stem))
+            assert named[-1] == expected
+        assert named == [
+            "R_has_a_3", "R_has_a_4", "R_has_b", "R_has_b_2", "R_has_a_3_2",
+            "R_has_a_5",
+        ]
+        assert lifter.fact_names == taken
+        assert not lifter.reserved & taken

@@ -21,7 +21,10 @@ shared inclusion graph and solver replaced (``analyzer``), and the
 advisor's one ``map_prefix`` per prefix group, which the shared binary
 phase per binary group replaced (``mapper.prefix_group_advise``), and
 the TOGETHER elimination that rebuilt the whole schema per sublink,
-which the in-place edit replaced (``mapper.eliminate_sublink``).
+which the in-place edit replaced (``mapper.eliminate_sublink``), and
+the SQL205 lint rule body that compiled and scanned every checker
+query before it knew whether any identifier was unportable
+(``lint.checker_identifier_unportable``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

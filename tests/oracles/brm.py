@@ -671,12 +671,14 @@ def from_row(population: RowPopulation) -> Population:
     """A lossless interned image of a row-at-a-time population."""
     columnar = Population(population.schema)
     intern = columnar.intern
+    # Fresh sets, never ``update``: an unpopulated name's stored set is
+    # the shared frozen empty set.
     for name, members in population._objects.items():
-        columnar._objects[name].update(intern(value) for value in members)
+        columnar._objects[name] = {intern(value) for value in members}
     for name, pairs in population._facts.items():
-        columnar._pairs[name].update(
+        columnar._pairs[name] = {
             (intern(first), intern(second)) for first, second in pairs
-        )
+        }
     columnar._version += 1
     return columnar
 
