@@ -12,7 +12,9 @@ populations on source and lift must validate identically).
 
 A second pass lints every lifted schema: reverse engineering must
 produce schemas the linter considers deployable (zero error-severity
-findings).
+findings).  A third reparses the DSL of every lifted schema, for every
+target under the default options, TOGETHER, INDICATOR and NULL NOT
+ALLOWED in every dialect: ``parse(to_dsl(lifted)) == lifted``.
 
 Locally::
 
@@ -28,9 +30,16 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.cris import cris_schema  # noqa: E402
-from repro.dsl import parse  # noqa: E402
+from repro.dsl import parse, to_dsl  # noqa: E402
+from repro.errors import RidlError  # noqa: E402
 from repro.lint import lint_schema  # noqa: E402
-from repro.mapper import MappingOptions, check_fixpoint, map_schema  # noqa: E402
+from repro.mapper import (  # noqa: E402
+    MappingOptions,
+    NullPolicy,
+    SublinkPolicy,
+    check_fixpoint,
+    map_schema,
+)
 from repro.mapper.reverse import lift_ddl  # noqa: E402
 from repro.sql.dialects import PROFILES  # noqa: E402
 from repro.workloads import SchemaShape, generate_schema  # noqa: E402
@@ -100,9 +109,40 @@ def lint_pass() -> int:
     return errors
 
 
+#: The option sets the DSL pass lifts under.
+OPTION_SETS = {
+    "default": MappingOptions(),
+    "TOGETHER": MappingOptions(sublink_policy=SublinkPolicy.TOGETHER),
+    "INDICATOR": MappingOptions(sublink_policy=SublinkPolicy.INDICATOR),
+    "NOT_ALLOWED": MappingOptions(null_policy=NullPolicy.NOT_ALLOWED),
+}
+
+
+def dsl_pass() -> int:
+    """The DSL printed for every lifted schema must parse back to it."""
+    print("--- DSL of lifted schemas")
+    failures = 0
+    for label, schema in targets():
+        for name, options in OPTION_SETS.items():
+            result = map_schema(schema, options)
+            for dialect in sorted(PROFILES):
+                lifted = lift_ddl(result.sql(dialect), dialect).schema
+                try:
+                    ok = parse(to_dsl(lifted)) == lifted
+                    why = "reparsed to a different schema"
+                except RidlError as exc:
+                    ok, why = False, str(exc)
+                print(f"{label} {name} [{dialect}]: {'PASS' if ok else 'FAIL'}")
+                if not ok:
+                    print(f"  {why}")
+                    failures += 1
+    return failures
+
+
 def main() -> int:
     failures = fixpoint_pass()
     failures += lint_pass()
+    failures += dsl_pass()
     if failures:
         print(f"FAILED: {failures} divergence(s)/error(s)")
         return 1

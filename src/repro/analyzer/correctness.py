@@ -18,7 +18,7 @@ from repro.brm.constraints import (
     ExclusionConstraint,
     FrequencyConstraint,
     SubsetConstraint,
-    UniquenessConstraint,
+    duplicate_constraints,
 )
 from repro.brm.facts import RoleId
 from repro.brm.schema import BinarySchema
@@ -86,14 +86,7 @@ def _check_item_compatibility(schema: BinarySchema) -> list[Diagnostic]:
         if isinstance(
             constraint, (ExclusionConstraint, EqualityConstraint, SubsetConstraint)
         ):
-            if isinstance(constraint, SubsetConstraint):
-                items: tuple[ConstraintItem, ...] = (
-                    constraint.subset,
-                    constraint.superset,
-                )
-            else:
-                items = constraint.items
-            families = {_base_type(schema, item) for item in items}
+            families = {_base_type(schema, item) for item in constraint.items}
             if len(families) > 1:
                 diagnostics.append(
                     Diagnostic(
@@ -150,40 +143,13 @@ def _check_frequency_conflicts(schema: BinarySchema) -> list[Diagnostic]:
 
 
 def _check_duplicate_constraints(schema: BinarySchema) -> list[Diagnostic]:
-    """Literally identical constraints under different names are noise."""
-    diagnostics = []
-    seen: dict[tuple[object, ...], str] = {}
-    for constraint in schema.constraints:
-        signature = _signature(constraint)
-        if signature in seen:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "DUPLICATE_CONSTRAINT",
-                    constraint.name,
-                    f"duplicates constraint {seen[signature]!r}",
-                )
-            )
-        else:
-            seen[signature] = constraint.name
-    return diagnostics
-
-
-def _signature(constraint: object) -> tuple[object, ...]:
-    if isinstance(constraint, UniquenessConstraint):
-        return ("uniqueness", frozenset(constraint.roles))
-    if isinstance(constraint, ExclusionConstraint):
-        return ("exclusion", frozenset(constraint.items))
-    if isinstance(constraint, EqualityConstraint):
-        return ("equality", frozenset(constraint.items))
-    if isinstance(constraint, SubsetConstraint):
-        return ("subset", constraint.subset, constraint.superset)
-    from repro.brm.constraints import TotalUnionConstraint
-
-    if isinstance(constraint, TotalUnionConstraint):
-        return (
-            "total",
-            constraint.object_type,
-            frozenset(constraint.items),
+    """Constraints restating another under a different name are noise."""
+    return [
+        Diagnostic(
+            Severity.WARNING,
+            "DUPLICATE_CONSTRAINT",
+            name,
+            f"duplicates constraint {original!r}",
         )
-    return ("other", id(constraint))
+        for name, original in duplicate_constraints(schema.constraints)
+    ]

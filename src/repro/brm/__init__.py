@@ -17,7 +17,7 @@ from repro.brm.constraints import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
+    Violation,
 )
 from repro.brm.datatypes import (
     DataType,
@@ -33,7 +33,7 @@ from repro.brm.datatypes import (
 )
 from repro.brm.facts import FIRST, SECOND, FactType, Role, RoleId
 from repro.brm.objects import ObjectKind, ObjectType, lot, lot_nolot, nolot
-from repro.brm.population import Population, Violation
+from repro.brm.population import Population
 from repro.brm.reference import (
     LexicalLeaf,
     ReferenceComponent,
@@ -78,7 +78,6 @@ __all__ = [
     "char",
     "date",
     "integer",
-    "items_of",
     "lot",
     "lot_nolot",
     "nolot",

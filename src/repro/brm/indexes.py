@@ -35,7 +35,6 @@ from repro.brm.constraints import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
 )
 from repro.brm.facts import FactType, RoleId
 from repro.brm.sublinks import SublinkType
@@ -197,7 +196,7 @@ class SchemaIndexes:
             facts_with_uniqueness: set[str] = set()
             for constraint in self._constraint_list:
                 by_kind.setdefault(type(constraint), []).append(constraint)
-                for item in items_of(constraint):
+                for item in constraint.items:
                     by_item.setdefault(item, []).append(constraint)
                 if isinstance(constraint, UniquenessConstraint):
                     for role_id in constraint.roles:

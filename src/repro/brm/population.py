@@ -26,23 +26,11 @@ table.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence, Set
-from dataclasses import dataclass
 
-from repro.brm.constraints import (
-    Constraint,
-    ConstraintItem,
-    EqualityConstraint,
-    ExclusionConstraint,
-    FrequencyConstraint,
-    SubsetConstraint,
-    TotalUnionConstraint,
-    UniquenessConstraint,
-    ValueConstraint,
-)
+from repro.brm.constraints import ConstraintItem, Violation
 from repro.brm.facts import RoleId
 from repro.brm.schema import BinarySchema
 from repro.errors import PopulationError
@@ -54,17 +42,6 @@ Instance = Hashable
 #: name; every writer stores a fresh set of its own before it adds, so
 #: this set is never mutated and no population shares a mutable set.
 _EMPTY: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One way in which a population fails to be a model of its schema."""
-
-    rule: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.rule}] {self.message}"
 
 
 class Population:
@@ -484,11 +461,12 @@ class Population:
 
     def role_occurrences(self, role_id: RoleId) -> dict[Instance, int]:
         """How many times each instance plays the role."""
-        counts = self._role_counts(role_id)
+        counts = self.role_counts(role_id)
         values = self._values
         return {values[i]: count for i, count in counts.items()}
 
-    def _role_counts(self, role_id: RoleId) -> Counter:
+    def role_counts(self, role_id: RoleId) -> Counter:
+        """How many times each instance id plays the role."""
         fact = self.schema.fact_type(role_id.fact)
         position = fact.position_of(role_id.role)
         return Counter(self.columns(fact.name)[position])
@@ -496,9 +474,11 @@ class Population:
     def item_population(self, item: ConstraintItem) -> frozenset[Instance]:
         """The population a set-algebraic constraint item ranges over."""
         values = self._values
-        return frozenset(values[i] for i in self._item_ids(item))
+        return frozenset(values[i] for i in self.item_ids(item))
 
-    def _item_ids(self, item: ConstraintItem) -> Set[int]:
+    def item_ids(self, item: ConstraintItem) -> Set[int]:
+        """The ids populating a constraint item: the players of a role,
+        or the live id set of a sublink's subtype (do not mutate)."""
         if isinstance(item, RoleId):
             return self._role_ids(item)
         sublink = self.schema.sublink(item.sublink)
@@ -538,7 +518,7 @@ class Population:
         violations: list[Violation] = []
         violations.extend(self._check_conformance())
         for constraint in self.schema.constraints:
-            violations.extend(self._check_constraint(constraint))
+            violations.extend(constraint.check(self))
         return violations
 
     def is_valid(self) -> bool:
@@ -596,182 +576,6 @@ class Population:
                     )
                 )
         return violations
-
-    def _check_constraint(self, constraint: Constraint) -> list[Violation]:
-        if isinstance(constraint, UniquenessConstraint):
-            return self._check_uniqueness(constraint)
-        if isinstance(constraint, TotalUnionConstraint):
-            return self._check_total(constraint)
-        if isinstance(constraint, ExclusionConstraint):
-            return self._check_exclusion(constraint)
-        if isinstance(constraint, SubsetConstraint):
-            return self._check_subset(constraint)
-        if isinstance(constraint, EqualityConstraint):
-            return self._check_equality(constraint)
-        if isinstance(constraint, FrequencyConstraint):
-            return self._check_frequency(constraint)
-        if isinstance(constraint, ValueConstraint):
-            return self._check_value(constraint)
-        return []
-
-    def _check_uniqueness(self, constraint: UniquenessConstraint) -> list[Violation]:
-        values = self._values
-        if constraint.is_simple:
-            role_id = constraint.roles[0]
-            return [
-                Violation(
-                    constraint.name,
-                    f"instance {values[interned]!r} plays role {role_id} "
-                    "more than once",
-                )
-                for interned, count in self._role_counts(role_id).items()
-                if count > 1
-            ]
-        if not constraint.is_external:
-            # Spanning both roles of one fact type: pair sets satisfy
-            # it by construction.
-            return []
-        return self._check_external_uniqueness(constraint)
-
-    def _check_external_uniqueness(
-        self, constraint: UniquenessConstraint
-    ) -> list[Violation]:
-        values = self._values
-        value_maps: list[dict[int, tuple[int, ...]]] = []
-        for role_id in constraint.roles:
-            fact = self.schema.fact_type(role_id.fact)
-            far_position = fact.position_of(role_id.role)
-            # Grouped by the *near* (common-player) filler.
-            value_maps.append(self.co_ids(fact.name, 1 - far_position))
-        combos: dict[tuple, int] = {}
-        violations = []
-        shared = set(value_maps[0])
-        for mapping in value_maps[1:]:
-            shared &= set(mapping)
-        for common in shared:
-            value_sets = [
-                sorted(mapping[common], key=lambda i: repr(values[i]))
-                for mapping in value_maps
-            ]
-            for combo in itertools.product(*value_sets):
-                previous = combos.get(combo)
-                if previous is not None and previous != common:
-                    shown = tuple(values[i] for i in combo)
-                    violations.append(
-                        Violation(
-                            constraint.name,
-                            f"combination {shown!r} identifies both "
-                            f"{values[previous]!r} and {values[common]!r}",
-                        )
-                    )
-                combos[combo] = common
-        return violations
-
-    def _check_total(self, constraint: TotalUnionConstraint) -> list[Violation]:
-        covered: set[int] = set()
-        for item in constraint.items:
-            covered |= self._item_ids(item)
-        missing = self._objects[constraint.object_type] - covered
-        values = self._values
-        return [
-            Violation(
-                constraint.name,
-                f"instance {values[interned]!r} of "
-                f"{constraint.object_type!r} plays none of the required "
-                "roles/subtypes",
-            )
-            for interned in missing
-        ]
-
-    def _check_exclusion(self, constraint: ExclusionConstraint) -> list[Violation]:
-        violations = []
-        values = self._values
-        populations = [
-            (item, self._item_ids(item)) for item in constraint.items
-        ]
-        for (item_a, pop_a), (item_b, pop_b) in itertools.combinations(
-            populations, 2
-        ):
-            for interned in pop_a & pop_b:
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"instance {values[interned]!r} populates both "
-                        f"{item_a} and {item_b}, which are mutually "
-                        "exclusive",
-                    )
-                )
-        return violations
-
-    def _check_subset(self, constraint: SubsetConstraint) -> list[Violation]:
-        stray = self._item_ids(constraint.subset) - self._item_ids(
-            constraint.superset
-        )
-        values = self._values
-        return [
-            Violation(
-                constraint.name,
-                f"instance {values[interned]!r} populates "
-                f"{constraint.subset} but not {constraint.superset}",
-            )
-            for interned in stray
-        ]
-
-    def _check_equality(self, constraint: EqualityConstraint) -> list[Violation]:
-        reference = self._item_ids(constraint.items[0])
-        values = self._values
-        violations = []
-        for item in constraint.items[1:]:
-            population = self._item_ids(item)
-            if population != reference:
-                difference = [
-                    values[i] for i in population ^ reference
-                ]
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"populations of {constraint.items[0]} and {item} "
-                        f"differ on {sorted(difference, key=repr)!r}",
-                    )
-                )
-        return violations
-
-    def _check_frequency(self, constraint: FrequencyConstraint) -> list[Violation]:
-        violations = []
-        values = self._values
-        for interned, count in self._role_counts(constraint.role).items():
-            if count < constraint.minimum or (
-                constraint.maximum is not None and count > constraint.maximum
-            ):
-                bound = (
-                    f"{constraint.minimum}..{constraint.maximum}"
-                    if constraint.maximum is not None
-                    else f">={constraint.minimum}"
-                )
-                violations.append(
-                    Violation(
-                        constraint.name,
-                        f"instance {values[interned]!r} plays role "
-                        f"{constraint.role} {count} times (allowed: {bound})",
-                    )
-                )
-        return violations
-
-    def _check_value(self, constraint: ValueConstraint) -> list[Violation]:
-        allowed = {
-            interned
-            for value in constraint.values
-            if (interned := self._intern.get(value)) is not None
-        }
-        values = self._values
-        return [
-            Violation(
-                constraint.name,
-                f"instance {values[interned]!r} of "
-                f"{constraint.object_type!r} is not among the allowed values",
-            )
-            for interned in self._objects[constraint.object_type] - allowed
-        ]
 
     # ------------------------------------------------------------------
     # Whole-population operations

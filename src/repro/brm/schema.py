@@ -34,7 +34,6 @@ from repro.brm.constraints import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
 )
 from repro.brm.facts import FactType, Role, RoleId
 from repro.brm.indexes import indexes_for
@@ -163,7 +162,7 @@ class BinarySchema:
         return constraint
 
     def _check_constraint(self, constraint: Constraint) -> None:
-        for item in items_of(constraint):
+        for item in constraint.items:
             self._check_item(constraint.name, item)
         if isinstance(constraint, (TotalUnionConstraint, ValueConstraint)):
             if constraint.object_type not in self._object_types:
@@ -293,7 +292,7 @@ class BinarySchema:
         for constraint in self._constraints.values():
             if any(
                 isinstance(item, RoleId) and item.fact == name
-                for item in items_of(constraint)
+                for item in constraint.items
             ):
                 raise SchemaError(
                     f"fact type {name!r} is still constrained by "
@@ -307,7 +306,7 @@ class BinarySchema:
         if name not in self._sublinks:
             raise UnknownElementError("sublink type", name)
         for constraint in self._constraints.values():
-            for item in items_of(constraint):
+            for item in constraint.items:
                 if isinstance(item, SublinkRef) and item.sublink == name:
                     raise SchemaError(
                         f"sublink {name!r} is still constrained by "
@@ -421,7 +420,10 @@ class BinarySchema:
 
     def role(self, role_id: RoleId) -> Role:
         """Resolve a role address to its :class:`Role`."""
-        return self.fact_type(role_id.fact).role(role_id.role)
+        try:
+            return self.fact_type(role_id.fact).role(role_id.role)
+        except KeyError:
+            raise UnknownElementError("role", str(role_id)) from None
 
     def role_ids(self) -> Iterator[RoleId]:
         """All role addresses of the schema."""

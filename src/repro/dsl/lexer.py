@@ -7,6 +7,7 @@ positions so the parser can report precise syntax errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +18,7 @@ class TokenKind(Enum):
     """Lexical categories of the DSL."""
 
     WORD = "word"  # identifiers and keywords
-    NUMBER = "number"
+    NUMBER = "number"  # signed integers and decimals
     STRING = "string"
     PUNCT = "punct"  # ( ) , : . [ ] ..
     NEWLINE = "newline"
@@ -43,6 +44,11 @@ class Token:
 
 _PUNCT = "(),:.[]"
 
+#: An integer or decimal literal, optionally signed, with an optional
+#: exponent (the way Python prints a float such as ``1e-05``); ``2..5``
+#: stays two numbers around the range mark.
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize DSL source; comments run from ``--`` or ``#`` to EOL."""
@@ -58,7 +64,10 @@ def tokenize(source: str) -> list[Token]:
                 continue
             start = column
             if char == "'":
+                # A doubled quote inside the literal stands for one quote.
                 end = line.find("'", column + 1)
+                while end >= 0 and line.startswith("''", end):
+                    end = line.find("'", end + 2)
                 if end < 0:
                     raise DslSyntaxError(
                         "unterminated string literal", line_number, column + 1
@@ -66,7 +75,7 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(
                     Token(
                         TokenKind.STRING,
-                        line[column + 1:end],
+                        line[column + 1:end].replace("''", "'"),
                         line_number,
                         column + 1,
                     )
@@ -81,13 +90,13 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token(TokenKind.PUNCT, char, line_number, column + 1))
                 column += 1
                 continue
-            if char.isdigit():
-                while column < length and line[column].isdigit():
-                    column += 1
+            number = _NUMBER.match(line, column)
+            if number:
+                column = number.end()
                 tokens.append(
                     Token(
                         TokenKind.NUMBER,
-                        line[start:column],
+                        number.group(),
                         line_number,
                         start + 1,
                     )

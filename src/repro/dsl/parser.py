@@ -27,15 +27,6 @@ trip, used by the meta-database for storage and diffing).
 from __future__ import annotations
 
 from repro.brm.builder import SchemaBuilder
-from repro.brm.constraints import (
-    EqualityConstraint,
-    ExclusionConstraint,
-    FrequencyConstraint,
-    SubsetConstraint,
-    TotalUnionConstraint,
-    UniquenessConstraint,
-    ValueConstraint,
-)
 from repro.brm.datatypes import DataType, DataTypeKind
 from repro.brm.facts import RoleId
 from repro.brm.objects import ObjectKind
@@ -164,8 +155,9 @@ class _Parser:
             raise self.fail(str(exc), word) from None
 
     def number(self) -> str:
+        """An unsigned integer (a length, scale or frequency bound)."""
         token = self.advance()
-        if token.kind is not TokenKind.NUMBER:
+        if token.kind is not TokenKind.NUMBER or not token.text.isdigit():
             raise self.fail(f"expected a number, found {token}", token)
         return token.text
 
@@ -345,7 +337,10 @@ class _Parser:
         if token.kind is TokenKind.STRING:
             return token.text
         if token.kind is TokenKind.NUMBER:
-            return int(token.text)
+            text = token.text
+            return int(text) if text.lstrip("-").isdigit() else float(text)
+        if token.kind is TokenKind.WORD and token.text in ("true", "false"):
+            return token.text == "true"
         raise self.fail(f"expected a value, found {token}", token)
 
 
@@ -386,57 +381,9 @@ def to_dsl(schema: BinarySchema) -> str:
     if schema.constraints:
         lines.append("")
     for constraint in schema.constraints:
-        lines.append(_constraint(constraint))
+        lines.append(constraint.to_dsl())
     return "\n".join(lines) + "\n"
 
 
 def _type(datatype: DataType) -> str:
     return datatype.render().lower()
-
-
-def _item(item) -> str:
-    if isinstance(item, SublinkRef):
-        return f"sublink {item.sublink}"
-    return f"{item.fact}.{item.role}"
-
-
-def _constraint(constraint) -> str:
-    name = constraint.name
-    if isinstance(constraint, UniquenessConstraint):
-        roles = ", ".join(_item(r) for r in constraint.roles)
-        suffix = " reference" if constraint.is_reference else ""
-        return f"constraint {name} unique {roles}{suffix}"
-    if isinstance(constraint, TotalUnionConstraint):
-        if constraint.is_total_role:
-            return f"constraint {name} total {_item(constraint.items[0])}"
-        items = ", ".join(_item(i) for i in constraint.items)
-        return (
-            f"constraint {name} total-union {constraint.object_type} : {items}"
-        )
-    if isinstance(constraint, ExclusionConstraint):
-        items = ", ".join(_item(i) for i in constraint.items)
-        return f"constraint {name} exclusion : {items}"
-    if isinstance(constraint, EqualityConstraint):
-        items = ", ".join(_item(i) for i in constraint.items)
-        return f"constraint {name} equality : {items}"
-    if isinstance(constraint, SubsetConstraint):
-        return (
-            f"constraint {name} subset {_item(constraint.subset)} in "
-            f"{_item(constraint.superset)}"
-        )
-    if isinstance(constraint, FrequencyConstraint):
-        upper = (
-            f" .. {constraint.maximum}"
-            if constraint.maximum is not None
-            else ""
-        )
-        return (
-            f"constraint {name} frequency {_item(constraint.role)} "
-            f"{constraint.minimum}{upper}"
-        )
-    if isinstance(constraint, ValueConstraint):
-        values = ", ".join(
-            f"'{v}'" if isinstance(v, str) else str(v) for v in constraint.values
-        )
-        return f"constraint {name} values {constraint.object_type} : {values}"
-    raise TypeError(f"cannot serialize constraint {constraint!r}")

@@ -112,7 +112,6 @@ def prunable_rules(mapping) -> dict[str, str]:
     pruned set is deterministic.  Returns ``{rule_name: reason}``.
     """
     from repro.analyzer.implication import check_implications
-    from repro.mapper.concepts import describe_constraint
     from repro.mapper.trace import KIND_RELATIONAL
 
     canonical = mapping.canonical
@@ -139,7 +138,7 @@ def prunable_rules(mapping) -> dict[str, str]:
             constraint = canonical.constraint(verdict.subject)
         except UnknownElementError:
             continue  # implied constraint did not reach the canonical form
-        description = describe_constraint(canonical, constraint)
+        description = constraint.describe(canonical)
         premises_enforced = True
         for premise in verdict.proof.premises:
             if premise in pruned_constraints:
@@ -150,9 +149,7 @@ def prunable_rules(mapping) -> dict[str, str]:
             except UnknownElementError:
                 premises_enforced = False
                 break
-            premise_description = describe_constraint(
-                canonical, premise_constraint
-            )
+            premise_description = premise_constraint.describe(canonical)
             if premise_description not in enforced_concepts:
                 premises_enforced = False
                 break

@@ -73,7 +73,8 @@ _port(
 _port(
     "BRM005", "duplicate-constraint", Severity.WARNING,
     "DUPLICATE_CONSTRAINT",
-    "Two constraints of the same kind cover the same items.",
+    "Two constraints have the same kind, the same items and, for "
+    "uniqueness, the same reference flag.",
 )
 _port(
     "BRM006", "empty-schema", Severity.ERROR, "EMPTY_SCHEMA",

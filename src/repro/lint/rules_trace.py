@@ -28,7 +28,6 @@ import re
 
 from repro.analyzer.diagnostics import Severity
 from repro.lint.registry import lint_rule
-from repro.mapper.concepts import describe_constraint
 from repro.mapper.trace import KIND_BINARY, STEP_KINDS
 
 _WORDS = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
@@ -65,7 +64,7 @@ def check_unaccounted_constraint(context):
             continue
         if constraint.name in accounted:
             continue
-        if describe_constraint(result.source, constraint) in forward:
+        if constraint.describe(result.source) in forward:
             continue
         yield constraint.name, (
             "source constraint was dropped with no lossless rule, "
@@ -75,7 +74,7 @@ def check_unaccounted_constraint(context):
     for constraint in canonical.constraints:
         if constraint.name in accounted:
             continue
-        if describe_constraint(canonical, constraint) in forward:
+        if constraint.describe(canonical) in forward:
             continue
         yield constraint.name, (
             "canonical constraint reached materialization but has no "

@@ -13,6 +13,12 @@ recorded here.
 
 from __future__ import annotations
 
+from repro.brm.concepts import (
+    describe_fact,
+    describe_object_type,
+    describe_role,
+    describe_sublink,
+)
 from repro.brm.constraints import (
     EqualityConstraint,
     ExclusionConstraint,
@@ -24,13 +30,6 @@ from repro.brm.constraints import (
 )
 from repro.brm.facts import RoleId
 from repro.mapper import naming
-from repro.mapper.concepts import (
-    describe_constraint,
-    describe_fact,
-    describe_object_type,
-    describe_role,
-    describe_sublink,
-)
 from repro.mapper.plan import (
     ColumnUnit,
     DisjunctLeaf,
@@ -397,7 +396,7 @@ def _wire_sublinks(
                     describe_object_type(schema, repr_.subtype),
                     sublink_concept,
                     *(
-                        describe_constraint(schema, total)
+                        total.describe(schema)
                         for total in schema.total_constraints_on(repr_.subtype)
                     ),
                 )
@@ -602,12 +601,12 @@ def _map_constraints(
                 PseudoConstraint(
                     constraint.name,
                     "FREQUENCY constraint has no relational counterpart: "
-                    + describe_constraint(schema, constraint),
-                    (describe_constraint(schema, constraint),),
+                    + constraint.describe(schema),
+                    (constraint.describe(schema),),
                 )
             )
             provenance.add_forward(
-                describe_constraint(schema, constraint),
+                constraint.describe(schema),
                 "-- pseudo-SQL specification (not enforceable in the "
                 "target DBMS)",
             )
@@ -622,7 +621,7 @@ def _map_uniqueness(
     consumed_reference_facts: set[str],
 ) -> None:
     schema = plan.schema
-    concept = describe_constraint(schema, constraint)
+    concept = constraint.describe(schema)
     if constraint.is_simple:
         role_id = constraint.roles[0]
         fact_name = role_id.fact
@@ -729,7 +728,7 @@ def _map_total(
     constraint: TotalUnionConstraint,
 ) -> None:
     schema = plan.schema
-    concept = describe_constraint(schema, constraint)
+    concept = constraint.describe(schema)
     anchor_relation = plan.anchor_of.get(constraint.object_type)
     if constraint.is_total_role:
         role_id = constraint.items[0]
@@ -858,7 +857,7 @@ def _map_exclusion(
     constraint: ExclusionConstraint,
 ) -> None:
     schema = plan.schema
-    concept = describe_constraint(schema, constraint)
+    concept = constraint.describe(schema)
     same = _pairwise_same_relation(plan, constraint.items)
     if same is not None:
         relation, predicates = same
@@ -905,7 +904,7 @@ def _map_equality(
     constraint: EqualityConstraint,
 ) -> None:
     schema = plan.schema
-    concept = describe_constraint(schema, constraint)
+    concept = constraint.describe(schema)
     same = _pairwise_same_relation(plan, constraint.items)
     if same is not None:
         relation, predicates = same
@@ -985,7 +984,7 @@ def _map_subset(
     constraint: SubsetConstraint,
 ) -> None:
     schema = plan.schema
-    concept = describe_constraint(schema, constraint)
+    concept = constraint.describe(schema)
     sub_location = _item_location(plan, constraint.subset)
     super_location = _item_location(plan, constraint.superset)
     if sub_location is None or super_location is None:
@@ -1075,7 +1074,7 @@ def _map_value_constraints(
     for constraint in schema.constraints:
         if not isinstance(constraint, ValueConstraint):
             continue
-        concept = describe_constraint(schema, constraint)
+        concept = constraint.describe(schema)
         for relation, unit in columns_by_lot.get(constraint.object_type, ()):
             name = rschema.fresh_constraint_name(naming.VALUE_STEM)
             predicate: Predicate = InValues(unit.name, constraint.values)

@@ -25,8 +25,8 @@ binary phase is a composition of lossless state mappings.
 
 from __future__ import annotations
 
+from repro.brm.concepts import describe_sublink
 from repro.brm.constraints import (
-    SET_ALGEBRAIC_KINDS,
     Constraint,
     EqualityConstraint,
     ExclusionConstraint,
@@ -34,7 +34,7 @@ from repro.brm.constraints import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
+    duplicate_constraints,
 )
 from repro.brm.datatypes import char
 from repro.brm.facts import FactType, Role, RoleId
@@ -44,7 +44,6 @@ from repro.brm.population import Population
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkRef, SublinkType
 from repro.errors import MappingError
-from repro.mapper.concepts import describe_sublink
 from repro.mapper.naming import indicator_names
 from repro.mapper.options import SublinkPolicy
 from repro.mapper.state import EliminationRecord, MappingState
@@ -100,7 +99,7 @@ def restrict_scope(state: MappingState) -> None:
 def _constraint_in_scope(
     old_schema: BinarySchema, new_schema: BinarySchema, constraint: Constraint
 ) -> bool:
-    for item in items_of(constraint):
+    for item in constraint.items:
         if isinstance(item, RoleId):
             if not new_schema.has_fact_type(item.fact):
                 return False
@@ -129,14 +128,10 @@ def canonicalize_constraints(state: MappingState) -> None:
     never changes the set of valid states.
     """
     schema = state.schema
-    seen: dict[tuple, str] = {}
-    removed: list[tuple[str, str]] = []
-    for constraint in schema.constraints:
-        signature = _signature(constraint)
-        if signature in seen:
-            removed.append((constraint.name, f"duplicates {seen[signature]}"))
-        else:
-            seen[signature] = constraint.name
+    removed: list[tuple[str, str]] = [
+        (name, f"duplicates {original}")
+        for name, original in duplicate_constraints(schema.constraints)
+    ]
 
     simple_unique_roles = indexes_for(schema).simple_unique_roles
     already = {name for name, _ in removed}
@@ -203,20 +198,6 @@ def _pairs(items: tuple) -> list[tuple]:
     import itertools
 
     return list(itertools.combinations(items, 2))
-
-
-def _signature(constraint: Constraint) -> tuple:
-    if isinstance(constraint, UniquenessConstraint):
-        return ("uniqueness", frozenset(constraint.roles), constraint.is_reference)
-    if isinstance(constraint, TotalUnionConstraint):
-        return ("total", constraint.object_type, frozenset(constraint.items))
-    if isinstance(constraint, ExclusionConstraint):
-        return ("exclusion", frozenset(constraint.items))
-    if isinstance(constraint, EqualityConstraint):
-        return ("equality", frozenset(constraint.items))
-    if isinstance(constraint, SubsetConstraint):
-        return ("subset", constraint.subset, constraint.superset)
-    return ("unique-name", constraint.name)
 
 
 def apply_sublink_policies(state: MappingState) -> None:
@@ -303,10 +284,7 @@ def eliminate_sublink(state: MappingState, sublink_name: str) -> None:
         if (
             isinstance(constraint, TotalUnionConstraint)
             and constraint.object_type == subtype
-        ) or (
-            isinstance(constraint, SET_ALGEBRAIC_KINDS)
-            and eliminated in items_of(constraint)
-        ):
+        ) or eliminated in constraint.items:
             rewritten = _rewrite_constraint(
                 state, old_schema, constraint, sublink_name, subtype, anchor
             )

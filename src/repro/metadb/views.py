@@ -9,7 +9,6 @@ plain row dictionaries, so users can filter and join them freely.
 
 from __future__ import annotations
 
-from repro.brm.constraints import items_of
 from repro.brm.facts import RoleId
 from repro.brm.schema import BinarySchema
 from repro.brm.sublinks import SublinkRef
@@ -68,7 +67,7 @@ def constraints_view(schema: BinarySchema) -> list[dict[str, object]]:
                 "kind": constraint.kind,
                 "items": [
                     str(item) if isinstance(item, (RoleId, SublinkRef)) else item
-                    for item in items_of(constraint)
+                    for item in constraint.items
                 ],
             }
         )

@@ -81,7 +81,7 @@ def render_dot(schema: BinarySchema) -> str:
             f'  "{node}" [shape=circle, width=0.25, fixedsize=true, '
             f'label="{glyph}", color=gray40, fontcolor=gray20];'
         )
-        for item in _constraint_items(constraint):
+        for item in constraint.items:
             anchor = (
                 f"fact:{item.fact}"
                 if isinstance(item, RoleId)
@@ -116,12 +116,6 @@ def _constraint_glyph(constraint) -> str | None:
     ):
         return "∪"
     return None
-
-
-def _constraint_items(constraint):
-    from repro.brm.constraints import items_of
-
-    return items_of(constraint)
 
 
 def _sublink_anchor(schema: BinarySchema, item: SublinkRef) -> str:

@@ -129,7 +129,6 @@ def _structural_violations(schema) -> list[str]:
     relate existing object types, constraints range over existing
     roles, sublinks connect existing types.  RIDL-G enforces this at
     construction time; a corrupting rule can break it afterwards."""
-    from repro.brm.constraints import items_of
     from repro.brm.facts import RoleId
 
     violations: list[str] = []
@@ -152,7 +151,7 @@ def _structural_violations(schema) -> list[str]:
                 )
     known_sublinks = {s.name for s in schema.sublinks}
     for constraint in schema.constraints:
-        for item in items_of(constraint):
+        for item in constraint.items:
             if isinstance(item, RoleId):
                 roles = known_facts.get(item.fact)
                 if roles is None or item.role not in roles:

@@ -1,7 +1,21 @@
 """Tests for RIDL-A function 1 (correctness)."""
 
-from repro.analyzer import Severity, check_correctness
+from repro.analyzer import Severity, analyze, check_correctness
 from repro.brm import SchemaBuilder, char, numeric
+from repro.dsl import parse
+from repro.lint import lint_schema
+from repro.mapper import map_schema
+
+#: A plain uniqueness and a reference uniqueness over the same role.
+REFERENCE_PAIR = """schema Dup
+nolot Thing
+lot Code : char(5)
+fact has ( Thing has, Code of )
+constraint A1 unique has.has
+constraint A2 unique has.has reference
+constraint T1 total has.has
+constraint U2 unique has.of
+"""
 
 
 def codes(diagnostics):
@@ -96,6 +110,18 @@ class TestDuplicates:
                  if d.code == "DUPLICATE_CONSTRAINT"]
         assert len(found) == 1
         assert found[0].severity is Severity.WARNING
+
+    def test_reference_flag_tells_uniqueness_apart(self):
+        # The mapper keeps both (only the reference bar names the
+        # key), so the analyzer and lint no longer call A2 a duplicate.
+        schema = parse(REFERENCE_PAIR)
+        assert "DUPLICATE_CONSTRAINT" not in codes(analyze(schema).diagnostics)
+        assert "BRM005" not in codes(lint_schema(schema).diagnostics)
+        result = map_schema(schema)
+        assert {"A1", "A2"} <= {c.name for c in result.canonical.constraints}
+        report = result.map_report()
+        assert "UNIQUE : ROLE has ON NOLOT Thing AND LOT Code" in report
+        assert "IDENTIFIER : ROLE has ON NOLOT Thing AND LOT Code" in report
 
     def test_clean_schema_has_no_findings(self):
         b = SchemaBuilder()

@@ -3,7 +3,7 @@
 Every constraint kind is driven across well-formed and malformed
 field combinations: malformed fields must raise ``ConstraintError``
 at construction, well-formed ones must round-trip their items
-through ``items_of``.  The two PR-9 satellite fixes get explicit
+through their ``items``.  Two validation fixes get explicit
 regressions: ``ValueConstraint`` dedupes duplicate values preserving
 order, and ``FrequencyConstraint`` accepts the ``(0, 0)`` "never
 plays" bound while still rejecting genuinely empty intervals.
@@ -23,7 +23,6 @@ from repro.brm import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
 )
 from repro.errors import ConstraintError
 
@@ -67,7 +66,7 @@ class TestUniquenessEdges:
     @given(roles=st.lists(role_ids, min_size=1, max_size=4, unique=True))
     def test_well_formed_round_trips(self, roles):
         constraint = UniquenessConstraint("U", roles=tuple(roles))
-        assert items_of(constraint) == tuple(roles)
+        assert constraint.items == tuple(roles)
 
     @given(role=role_ids)
     def test_duplicate_roles_raise(self, role):
@@ -98,15 +97,12 @@ class TestSetAlgebraicEdges:
     @given(pair=st.lists(items, min_size=2, max_size=2, unique=True))
     def test_well_formed_pairs_round_trip(self, pair):
         first, second = pair
-        assert items_of(
-            ExclusionConstraint("X", items=(first, second))
-        ) == (first, second)
-        assert items_of(
-            EqualityConstraint("E", items=(first, second))
-        ) == (first, second)
-        assert items_of(
-            SubsetConstraint("S", subset=first, superset=second)
-        ) == (first, second)
+        for constraint in (
+            ExclusionConstraint("X", items=(first, second)),
+            EqualityConstraint("E", items=(first, second)),
+            SubsetConstraint("S", subset=first, superset=second),
+        ):
+            assert constraint.items == (first, second)
 
     @given(
         object_type=names,
@@ -116,7 +112,7 @@ class TestSetAlgebraicEdges:
         constraint = TotalUnionConstraint(
             "T", object_type=object_type, items=tuple(members)
         )
-        assert items_of(constraint) == tuple(members)
+        assert constraint.items == tuple(members)
 
     def test_total_union_needs_object_type_and_items(self):
         with pytest.raises(ConstraintError):
@@ -139,7 +135,7 @@ class TestFrequencyEdges:
         constraint = FrequencyConstraint(
             "F", role=role, minimum=minimum, maximum=maximum
         )
-        assert items_of(constraint) == (role,)
+        assert constraint.items == (role,)
 
     @given(
         role=role_ids,

@@ -12,7 +12,6 @@ from repro.brm import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
 )
 from repro.errors import ConstraintError
 
@@ -79,7 +78,7 @@ class TestExclusionEqualitySubset:
 
     def test_exclusion_mixes_roles_and_sublinks(self):
         constraint = ExclusionConstraint("X3", items=(R1, S1))
-        assert items_of(constraint) == (R1, S1)
+        assert constraint.items == (R1, S1)
 
     def test_equality_needs_two_items(self):
         with pytest.raises(ConstraintError):
@@ -91,13 +90,13 @@ class TestExclusionEqualitySubset:
 
     def test_subset_items(self):
         constraint = SubsetConstraint("S2", subset=R1, superset=R2)
-        assert items_of(constraint) == (R1, R2)
+        assert constraint.items == (R1, R2)
 
 
 class TestFrequencyAndValue:
     def test_frequency_bounds(self):
         constraint = FrequencyConstraint("F1", role=R1, minimum=2, maximum=4)
-        assert items_of(constraint) == (R1,)
+        assert constraint.items == (R1,)
 
     def test_frequency_rejects_bad_bounds(self):
         with pytest.raises(ConstraintError):

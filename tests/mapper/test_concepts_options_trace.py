@@ -3,15 +3,14 @@
 import pytest
 
 from repro.brm import RoleId, SchemaBuilder, SublinkRef, char, numeric
-from repro.cris import figure6_schema
-from repro.mapper import AppliedStep, MappingOptions, NullPolicy, SublinkPolicy
-from repro.mapper.concepts import (
-    describe_constraint,
+from repro.brm.concepts import (
     describe_fact,
     describe_object_type,
     describe_role,
     describe_sublink,
 )
+from repro.cris import figure6_schema
+from repro.mapper import AppliedStep, MappingOptions, NullPolicy, SublinkPolicy
 from repro.mapper.trace import Provenance
 
 
@@ -47,19 +46,19 @@ class TestConceptDescriptions:
             c for c in schema.uniqueness_constraints()
             if c.is_reference and c.roles[0].fact == "Paper_has_Paper_Id"
         )
-        assert describe_constraint(schema, reference).startswith("IDENTIFIER :")
+        assert reference.describe(schema).startswith("IDENTIFIER :")
         plain = next(
             c for c in schema.uniqueness_constraints()
             if not c.is_reference and c.roles[0].fact == "Paper_has_Title"
         )
-        assert describe_constraint(schema, plain).startswith("UNIQUE :")
+        assert plain.describe(schema).startswith("UNIQUE :")
 
     def test_total_role_description(self, schema):
         total = next(
             c for c in schema.totals()
             if c.is_total_role and c.items[0].fact == "scheduled"
         )
-        assert describe_constraint(schema, total) == (
+        assert total.describe(schema) == (
             "TOTAL : ROLE presented_during ON NOLOT Program_Paper AND "
             "LOT-NOLOT Session"
         )
@@ -78,9 +77,7 @@ class TestConceptDescriptions:
         b.values("K", ("A", "B"), name="V1")
         b.total_union("A", ("f", "x"), "sublink:B_IS_A", name="T9")
         built = b.build()
-        texts = {
-            c.name: describe_constraint(built, c) for c in built.constraints
-        }
+        texts = {c.name: c.describe(built) for c in built.constraints}
         assert texts["X1"].startswith("EXCLUSION : SUBLINK")
         assert texts["E1"].startswith("EQUALITY :")
         assert " IN " in texts["S1"]

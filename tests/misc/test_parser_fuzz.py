@@ -2,8 +2,9 @@
 
 Both parsers are otherwise only fed well-formed text.  Here each one
 gets 2,000 mutated copies of a real input per source — the bundled
-``examples/conference.ridl`` and the emitted CRIS DDL of every
-dialect — each copy with one token deleted, duplicated, swapped with
+``examples/conference.ridl``, the DSL of CRIS, the DSL lifted from the
+oracle DDL of conference under TOGETHER (value literals such as
+``true``) and the emitted CRIS DDL of every dialect — each copy with one token deleted, duplicated, swapped with
 another, or the text truncated at a token.  Every input must parse or
 raise the parser's own :class:`~repro.errors.RidlError`
 (``DslSyntaxError`` / ``DdlParseError``) with a line number; any other
@@ -18,9 +19,10 @@ from pathlib import Path
 import pytest
 
 from repro.cris import cris_schema
-from repro.dsl import parse
+from repro.dsl import parse, to_dsl
 from repro.errors import DslSyntaxError
-from repro.mapper import map_schema
+from repro.mapper import MappingOptions, SublinkPolicy, map_schema
+from repro.mapper.reverse import lift_ddl
 from repro.sql import PROFILES
 from repro.sql.parse import DdlParseError, parse_ddl
 
@@ -55,6 +57,23 @@ def mutants(text: str, seed: int):
 
 def test_dsl_mutants_parse_or_report_a_line():
     for text in mutants(EXAMPLE.read_text(), SEED):
+        try:
+            parse(text)
+        except DslSyntaxError as exc:
+            assert exc.line >= 1, (text, str(exc))
+
+
+def generated_dsl(source: str) -> str:
+    if source == "cris":
+        return to_dsl(cris_schema())
+    together = MappingOptions(sublink_policy=SublinkPolicy.TOGETHER)
+    ddl = map_schema(parse(EXAMPLE.read_text()), together).sql("oracle")
+    return to_dsl(lift_ddl(ddl, "oracle").schema)
+
+
+@pytest.mark.parametrize("source", ["cris", "conference-lifted"])
+def test_generated_dsl_mutants_parse_or_report_a_line(source):
+    for text in mutants(generated_dsl(source), SEED):
         try:
             parse(text)
         except DslSyntaxError as exc:

@@ -24,7 +24,10 @@ the TOGETHER elimination that rebuilt the whole schema per sublink,
 which the in-place edit replaced (``mapper.eliminate_sublink``), and
 the SQL205 lint rule body that compiled and scanned every checker
 query before it knew whether any identifier was unportable
-(``lint.checker_identifier_unportable``).
+(``lint.checker_identifier_unportable``), and the six per-kind
+``isinstance`` ladders over the BRM constraint classes (items,
+verdicts, both duplicate keys, map-report descriptions and DSL
+statements) that each class's own faces replaced (``brm_constraints``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

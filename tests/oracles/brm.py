@@ -36,7 +36,6 @@ from repro.brm.constraints import (
     TotalUnionConstraint,
     UniquenessConstraint,
     ValueConstraint,
-    items_of,
 )
 from repro.brm.facts import FactType, RoleId
 from repro.brm.population import Population, Violation
@@ -115,9 +114,7 @@ class LinearScanOracle:
         return {a for a in ancestors if not self.supertypes_of(a)}
 
     def constraints_over(self, item: ConstraintItem) -> list[Constraint]:
-        return [
-            c for c in self.schema.constraints if item in items_of(c)
-        ]
+        return [c for c in self.schema.constraints if item in c.items]
 
     def uniqueness_constraints(self) -> list[UniquenessConstraint]:
         return [
