@@ -586,9 +586,24 @@ class ValueConstraint(Constraint):
         if len(set(self.values)) != len(self.values):
             # Duplicates are harmless semantically but poison domain
             # comparisons and SQL IN-lists: dedupe preserving order.
-            object.__setattr__(
-                self, "values", tuple(dict.fromkeys(self.values))
-            )
+            # A value duplicates only a value of its own type: True == 1
+            # in Python, but not in DDL or the DSL.
+            typed = dict.fromkeys((type(v), v) for v in self.values)
+            object.__setattr__(self, "values", tuple(v for _t, v in typed))
+
+    # Values compare by type too, for the same reason.  The hash is the
+    # dataclass's: equal values hash alike whatever their type.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValueConstraint):
+            return NotImplemented
+        return (self.name, self.object_type, self.values) == (
+            other.name,
+            other.object_type,
+            other.values,
+        ) and [type(v) for v in self.values] == [type(v) for v in other.values]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.object_type, self.values))
 
     @property
     def items(self) -> tuple[ConstraintItem, ...]:

@@ -46,6 +46,7 @@ and the lifted schema.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from repro.brm.datatypes import DataType, DataTypeKind
@@ -1417,24 +1418,47 @@ def check_fixpoint(
 ) -> FixpointReport:
     """Map, lift, and remap a schema; assert the lift is a fixpoint.
 
-    Three legs, per the differential methodology:
+    With ``DDL1 = emit(map(S))``, ``L1 = lift(DDL1)``, ``DDL2 =
+    emit(map(L1))``, ``L2 = lift(DDL2)`` and ``DDL3 = emit(map(L2))``,
+    three legs always run and a fourth on request, per the
+    differential methodology:
 
-    * **ddl-idempotent** — ``ddl3 == ddl2`` byte-for-byte: one round
+    * **ddl-idempotent** — ``DDL3 == DDL2`` byte-for-byte: one round
       may canonicalize the DDL, the second must not move it.
-    * **structure** — the generic relational schemas behind ``ddl2``
-      and ``ddl3`` have identical structural digests.
-    * **implication** — the implication engine saturates both lifts
-      to the same verdict closure (each side's constraint set implies
-      the other's consequences), and the lifted schema is satisfiable.
+    * **structure** — the generic relational schemas behind ``DDL2``
+      and ``DDL3`` have identical structural digests.
+    * **implication** — the implication engine saturates L1 and L2 to
+      the same verdict closure, and L1 is satisfiable.
     * **empirical** (``empirical_scale > 0``) — the executor harness
-      validates seeded populations identically on the source and the
-      lifted schema.
+      finds seeded populations of the source and of L1 clean, each
+      with a lossless round trip.
+
+    The rounds run with CPython's cyclic collector paused: they leave
+    no cyclic garbage, so the collections they would trigger walk the
+    live heap and free nothing (docs/PERFORMANCE.md).  Only a call
+    that found the collector on turns it back on, so nested calls,
+    concurrent threads and a caller that keeps it off all end in the
+    state they began in.
     """
+    opts = options or MappingOptions()
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        with _obs_span("reverse.fixpoint", schema=schema.name, dialect=dialect):
+            return _check_fixpoint(schema, opts, dialect, empirical_scale, seed)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _remap(lift: LiftResult, dialect: str) -> tuple[str, list[str]]:
+    """Map a lift again and keep only its DDL and structural digest,
+    so that one mapping session at a time stays alive."""
     from repro.mapper.engine import map_schema
 
-    opts = options or MappingOptions()
-    with _obs_span("reverse.fixpoint", schema=schema.name, dialect=dialect):
-        return _check_fixpoint(schema, opts, dialect, empirical_scale, seed)
+    result = map_schema(lift.schema, lift.options)
+    return result.sql(dialect), _schema_signature(result.relational)
 
 
 def _check_fixpoint(
@@ -1446,14 +1470,11 @@ def _check_fixpoint(
 ) -> FixpointReport:
     from repro.mapper.engine import map_schema
 
-    first = map_schema(schema, opts)
-    ddl1 = first.sql(dialect)
+    ddl1 = map_schema(schema, opts).sql(dialect)
     lift1 = lift_ddl(ddl1, dialect)
-    second = map_schema(lift1.schema, lift1.options)
-    ddl2 = second.sql(dialect)
+    ddl2, sig2 = _remap(lift1, dialect)
     lift2 = lift_ddl(ddl2, dialect)
-    third = map_schema(lift2.schema, lift2.options)
-    ddl3 = third.sql(dialect)
+    ddl3, sig3 = _remap(lift2, dialect)
 
     legs: list[FixpointLeg] = []
     if ddl3 == ddl2:
@@ -1469,8 +1490,6 @@ def _check_fixpoint(
         diff = _first_divergence(ddl2, ddl3)
         legs.append(FixpointLeg("ddl-idempotent", False, diff))
 
-    sig2 = _schema_signature(second.relational)
-    sig3 = _schema_signature(third.relational)
     if sig2 == sig3:
         legs.append(
             FixpointLeg(

@@ -105,6 +105,35 @@ class TestValueLiterals:
             parse("lot F : boolean\nconstraint values F : True")
 
 
+class TestValueTypes:
+    """A value constraint keeps the type of each value: True == 1 and
+    0 == 0.0 in Python, but not in DDL or the DSL."""
+
+    def test_values_compare_by_type(self):
+        flags = ValueConstraint("V", "Flag", (True, False))
+        ints = ValueConstraint("V", "Flag", (1, 0))
+        assert flags != ints
+        assert len({flags, ints}) == 2
+        again = ValueConstraint("V", "Flag", (True, False))
+        assert flags == again and hash(flags) == hash(again)
+
+    def test_duplicates_are_dropped_per_type_in_order(self):
+        values = ValueConstraint("V", "N", (1, True, 0.0, False, 1, True)).values
+        assert [(type(v), v) for v in values] == [
+            (int, 1), (bool, True), (float, 0.0), (bool, False)
+        ]
+
+    def test_schema_comparison_sees_booleans_turn_into_integers(self):
+        def schema(values):
+            b = SchemaBuilder("Flags")
+            b.lot("Flag", boolean())
+            b.values("Flag", values, name="V1")
+            return b.build()
+
+        assert schema((True, False)) != schema((1, 0))
+        assert parse(to_dsl(schema((True, False)))) == schema((True, False))
+
+
 @functools.lru_cache(maxsize=None)
 def mapped(target: str, policy: str):
     return map_schema(
