@@ -14,7 +14,12 @@ A second pass lints every lifted schema: reverse engineering must
 produce schemas the linter considers deployable (zero error-severity
 findings).  A third reparses the DSL of every lifted schema, for every
 target under the default options, TOGETHER, INDICATOR and NULL NOT
-ALLOWED in every dialect: ``parse(to_dsl(lifted)) == lifted``.
+ALLOWED in every dialect: ``parse(to_dsl(lifted)) == lifted``.  A
+fourth reads the DDL of the same designs back with ``parse_ddl``, plus
+an inline design with a two-column foreign key: every CHECK whose
+annotation names a lossless-rule form must be read by that form's
+inverse, and every foreign key of the mapped schema must survive with
+its relation, columns and referenced columns.
 
 Locally::
 
@@ -41,7 +46,22 @@ from repro.mapper import (  # noqa: E402
     map_schema,
 )
 from repro.mapper.reverse import lift_ddl  # noqa: E402
+from repro.relational.predicates import (  # noqa: E402
+    CONDITIONAL_EQUALITY,
+    DEPENDENT_EXISTENCE,
+    EQUAL_EXISTENCE,
+    EXCLUSION,
+    TOTAL_UNION,
+    VALUE_RESTRICTION,
+    conditional_equality_operands,
+    dependent_existence_operands,
+    equal_existence_operands,
+    exclusion_operands,
+    total_union_operands,
+    value_restriction_operands,
+)
 from repro.sql.dialects import PROFILES  # noqa: E402
+from repro.sql.parse import parse_ddl  # noqa: E402
 from repro.workloads import SchemaShape, generate_schema  # noqa: E402
 
 # Mirrors benchmarks/bench_industrial_scale.py (785 entities, 134
@@ -139,10 +159,77 @@ def dsl_pass() -> int:
     return failures
 
 
+#: A room keyed by two columns, so a booking references it through a
+#: two-column foreign key, which no bundled design holds.  Only the
+#: forms pass reads it: the lift cannot classify the two-column
+#: anchor yet.
+COMPOUND_REFERENCE = """schema Compound
+lot Code : char(3)
+lot Num : integer
+lot Label : char(10)
+nolot Room
+nolot Booking
+fact room_code ( Room has_code [unique, total], Code code_of )
+fact room_num ( Room has_num [unique, total], Num num_of )
+constraint RoomKey unique room_code.code_of, room_num.num_of reference
+identifier Booking by Label
+fact booked ( Booking booked_room [unique, total], Room room_booked )
+"""
+
+#: The annotation of each lossless-rule CHECK, and the inverse that
+#: must read it.
+CHECK_FORMS = {
+    DEPENDENT_EXISTENCE: dependent_existence_operands,
+    EQUAL_EXISTENCE: equal_existence_operands,
+    EXCLUSION: exclusion_operands,
+    TOTAL_UNION: total_union_operands,
+    VALUE_RESTRICTION: value_restriction_operands,
+    CONDITIONAL_EQUALITY: conditional_equality_operands,
+}
+
+
+def _foreign_keys(schema) -> list[tuple]:
+    return sorted(
+        (fk.relation, fk.columns, fk.referenced_relation, fk.referenced_columns)
+        for fk in schema.foreign_keys()
+    )
+
+
+def forms_pass() -> int:
+    """Annotated CHECKs read back as their form, and foreign keys
+    survive, after ``parse_ddl`` in every dialect."""
+    print("--- CHECK forms and foreign keys of parsed DDL")
+    failures = 0
+    compound = ("compound-reference", parse(COMPOUND_REFERENCE))
+    for label, schema in [*targets(), compound]:
+        for name, options in OPTION_SETS.items():
+            result = map_schema(schema, options)
+            expected = _foreign_keys(result.relational)
+            for dialect in sorted(PROFILES):
+                parsed = parse_ddl(result.sql(dialect), dialect).schema
+                unread = [
+                    check.name
+                    for check in parsed.checks()
+                    if check.comment in CHECK_FORMS
+                    and CHECK_FORMS[check.comment](check.predicate) is None
+                ]
+                got = _foreign_keys(parsed)
+                ok = not unread and got == expected
+                print(f"{label} {name} [{dialect}]: {'PASS' if ok else 'FAIL'}")
+                if unread:
+                    print(f"  CHECKs their form does not read: {unread}")
+                if got != expected:
+                    lost = [fk for fk in expected if fk not in got]
+                    print(f"  foreign keys lost or changed: {lost}")
+                failures += not ok
+    return failures
+
+
 def main() -> int:
     failures = fixpoint_pass()
     failures += lint_pass()
     failures += dsl_pass()
+    failures += forms_pass()
     if failures:
         print(f"FAILED: {failures} divergence(s)/error(s)")
         return 1

@@ -44,6 +44,24 @@ Instance = Hashable
 _EMPTY: frozenset = frozenset()
 
 
+def _typed_key(value: Instance) -> Hashable:
+    """The intern-table key of a value.
+
+    Python finds ``True == 1 == 1.0`` (with equal hashes), so a table
+    keyed by the value alone would give a boolean, an integer and a
+    float one id.  ``str`` and ``int`` values, which the data paths
+    intern in bulk, are their own keys; any other value is keyed with
+    its type, element by element inside a tuple (a tuple key never
+    equals a ``str`` or an ``int``).
+    """
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
+    if kind is tuple:
+        return (tuple, tuple(map(_typed_key, value)))
+    return (kind, value)
+
+
 class Population:
     """A database state for a :class:`BinarySchema`: interned ids + role
     columns.
@@ -52,7 +70,8 @@ class Population:
     the layout serves whole-population kernels:
 
     * every instance value is interned once to a dense integer id
-      (``self._values[id]`` recovers the value);
+      (``self._values[id]`` recovers the value); values of different
+      types get different ids even when Python finds them equal;
     * each fact type stores its pairs as a set of id pairs, with
       parallel ``(firsts, seconds)`` columns and per-role lookup maps
       (:meth:`co_ids`, :meth:`first_co`) materialized lazily and
@@ -91,10 +110,12 @@ class Population:
 
     def intern(self, value: Instance) -> int:
         """The dense id of a value, allocating one on first sight."""
-        interned = self._intern.get(value)
+        kind = type(value)
+        key = value if kind is str or kind is int else _typed_key(value)
+        interned = self._intern.get(key)
         if interned is None:
             interned = len(self._values)
-            self._intern[value] = interned
+            self._intern[key] = interned
             self._values.append(value)
         return interned
 
@@ -111,7 +132,7 @@ class Population:
 
     def id_of(self, value: Instance) -> int | None:
         """The id of a value, or ``None`` when never interned."""
-        return self._intern.get(value)
+        return self._intern.get(_typed_key(value))
 
     def seed_intern_from(self, other: "Population") -> None:
         """Adopt another population's value interning (id-aligned).
@@ -142,10 +163,12 @@ class Population:
         out: list[int] = []
         append = out.append
         for value in column:
-            interned = intern.get(value)
+            kind = type(value)
+            key = value if kind is str or kind is int else _typed_key(value)
+            interned = intern.get(key)
             if interned is None:
                 interned = len(values)
-                intern[value] = interned
+                intern[key] = interned
                 values.append(value)
             append(interned)
         return out
@@ -285,7 +308,7 @@ class Population:
 
     def remove_fact(self, fact_name: str, first: Instance, second: Instance) -> None:
         """Remove one fact instance (object populations untouched)."""
-        pair = (self._intern.get(first), self._intern.get(second))
+        pair = (self.id_of(first), self.id_of(second))
         if fact_name not in self._pairs:
             raise PopulationError(f"no fact type {fact_name!r} in the schema")
         pairs = self._pairs[fact_name]
@@ -306,7 +329,7 @@ class Population:
         """
         if type_name not in self._objects:
             raise PopulationError(f"no object type {type_name!r} in the schema")
-        interned = self._intern.get(instance)
+        interned = self.id_of(instance)
         if interned is None or interned not in self._objects[type_name]:
             raise PopulationError(
                 f"{instance!r} is not an instance of {type_name!r}"
@@ -490,7 +513,7 @@ class Population:
         """Co-role fillers linked to ``instance`` through the fact."""
         fact = self.schema.fact_type(fact_name)
         position = fact.position_of(role_name)
-        interned = self._intern.get(instance)
+        interned = self.id_of(instance)
         if interned is None:
             return frozenset()
         co = self.co_ids(fact.name, position).get(interned)
@@ -653,8 +676,8 @@ class Population:
         lookup = other._intern
         translate: list[int] = []
         identity = True
-        for i, value in enumerate(self._values):
-            theirs = lookup.get(value)
+        for i, key in enumerate(self._intern):  # keys in id order
+            theirs = lookup.get(key)
             if theirs is None:
                 theirs = -(i + 1)
                 identity = False

@@ -51,18 +51,21 @@ from repro.relational.constraints import (
     SelectSpec,
 )
 from repro.relational.predicates import (
-    And,
-    Compare,
-    InValues,
-    IsNull,
-    Not,
-    NotNull,
-    Or,
+    CONDITIONAL_EQUALITY,
+    DEPENDENT_EXISTENCE,
+    EQUAL_EXISTENCE,
+    EXCLUSION,
+    TOTAL_UNION,
+    VALUE_RESTRICTION,
     Predicate,
-    and_,
+    conditional_equality,
     dependent_existence,
     equal_existence,
-    or_,
+    exclusion,
+    indicator,
+    presence,
+    total_union,
+    value_restriction,
 )
 from repro.relational.schema import (
     Attribute,
@@ -385,7 +388,7 @@ def _wire_sublinks(
                     right=SelectSpec(
                         super_relation,
                         repr_.is_columns,
-                        where=and_(*(NotNull(c) for c in repr_.is_columns)),
+                        where=presence(repr_.is_columns),
                     ),
                     comment="sub-relation membership equals the non-NULL "
                     "sublink attribute",
@@ -441,7 +444,7 @@ def _wire_sublinks(
                     sublink_concept,
                     f"SELECT {', '.join(super_plan.key_columns)}\n"
                     f"FROM {super_relation}\n"
-                    f"WHERE ( {repr_.indicator_column} = 'Y' )",
+                    f"WHERE {indicator(repr_.indicator_column).render()}",
                 )
         _add_conditional_equality(
             state, plan, rschema, provenance, repr_, super_relation
@@ -469,13 +472,8 @@ def _add_conditional_equality(
             CheckConstraint(
                 name,
                 relation=super_relation,
-                predicate=Or(
-                    (
-                        And((Compare(flag, "=", "Y"), NotNull(leg))),
-                        And((Compare(flag, "=", "N"), IsNull(leg))),
-                    )
-                ),
-                comment="Conditional Equality",
+                predicate=conditional_equality(flag, leg),
+                comment=CONDITIONAL_EQUALITY,
             )
         )
         provenance.add_constraint(name, sublink_concept)
@@ -496,10 +494,10 @@ def _add_conditional_equality(
                 left=SelectSpec(
                     super_relation,
                     super_plan.key_columns,
-                    where=Compare(flag, "=", "Y"),
+                    where=indicator(flag),
                 ),
                 right=SelectSpec(repr_.sub_relation, sub_plan.key_columns),
-                comment="Conditional Equality",
+                comment=CONDITIONAL_EQUALITY,
             )
         )
         provenance.add_constraint(name, sublink_concept)
@@ -515,15 +513,6 @@ def _add_conditional_equality(
 # ----------------------------------------------------------------------
 # Remaining binary constraints
 # ----------------------------------------------------------------------
-
-
-def _presence_predicate(
-    plan: MappingPlan, location: RoleLocation
-) -> Predicate | None:
-    """Row predicate marking presence, or None when every row counts."""
-    if not location.presence:
-        return None
-    return and_(*(NotNull(c) for c in location.presence))
 
 
 def _item_location(
@@ -568,8 +557,8 @@ def _item_presence(
         if repr_ is not None and repr_.indicator_column is not None and (
             repr_.style != "is-columns"
         ):
-            return Compare(repr_.indicator_column, "=", "Y")
-    return _presence_predicate(plan, location)
+            return indicator(repr_.indicator_column)
+    return presence(location.presence)
 
 
 def _map_constraints(
@@ -780,36 +769,41 @@ def _map_total(
         _degrade_total(state, provenance, constraint, concept)
         return
     relations = {l.relation for l in locations}
-    if relations == {anchor_relation} and all(
-        _item_presence(plan, item, location) is not None
+    presences = tuple(
+        _item_presence(plan, item, location)
         for item, location in zip(constraint.items, locations)
-    ):
-        predicate = or_(
-            *(
-                _item_presence(plan, item, location)
-                for item, location in zip(constraint.items, locations)
-            )
-        )
+    )
+    if relations == {anchor_relation} and None not in presences:
         name = rschema.fresh_constraint_name(naming.CHECK_STEM)
-        rschema.add_constraint(
-            CheckConstraint(
-                name,
-                relation=anchor_relation,
-                predicate=predicate,
-                comment="Total Union",
-            )
+        check = CheckConstraint(
+            name, anchor_relation, total_union(presences), TOTAL_UNION
         )
-        provenance.add_constraint(name, concept)
-        provenance.add_forward(concept, f"CHECK {predicate.render()}")
-        state.record(
+        _add_check(
+            state, rschema, provenance, constraint, concept, check,
             "total-union-check",
-            "relational-relational",
-            constraint.name,
             "total union mapped to a CHECK on the anchor relation",
-            (name,),
         )
         return
     _degrade_total(state, provenance, constraint, concept)
+
+
+def _add_check(
+    state: MappingState,
+    rschema: RelationalSchema,
+    provenance: Provenance,
+    constraint,
+    concept: str,
+    check: CheckConstraint,
+    rule: str,
+    detail: str,
+) -> None:
+    """Add one lossless-rule CHECK with its provenance and trace step."""
+    rschema.add_constraint(check)
+    provenance.add_constraint(check.name, concept)
+    provenance.add_forward(concept, f"CHECK {check.predicate.render()}")
+    state.record(
+        rule, "relational-relational", constraint.name, detail, (check.name,)
+    )
 
 
 def _degrade_total(
@@ -831,22 +825,20 @@ def _degrade_total(
 
 def _pairwise_same_relation(
     plan: MappingPlan, items: tuple
-) -> tuple[str, list[Predicate]] | None:
+) -> tuple[str, tuple[Predicate, ...]] | None:
     """When all items live in one relation with real presence
     predicates, return (relation, presence predicates)."""
     locations = [_item_location(plan, item) for item in items]
     if any(l is None for l in locations):
         return None
     relations = {l.relation for l in locations}
-    if len(relations) != 1:
+    presences = tuple(
+        _item_presence(plan, item, location)
+        for item, location in zip(items, locations)
+    )
+    if len(relations) != 1 or None in presences:
         return None
-    predicates = []
-    for item, location in zip(items, locations):
-        predicate = _item_presence(plan, item, location)
-        if predicate is None:
-            return None
-        predicates.append(predicate)
-    return relations.pop(), predicates
+    return relations.pop(), presences
 
 
 def _map_exclusion(
@@ -861,28 +853,11 @@ def _map_exclusion(
     same = _pairwise_same_relation(plan, constraint.items)
     if same is not None:
         relation, predicates = same
-        import itertools
-
-        clauses = [
-            Or((Not(a), Not(b)))
-            for a, b in itertools.combinations(predicates, 2)
-        ]
-        predicate = and_(*clauses)
         name = rschema.fresh_constraint_name(naming.CHECK_STEM)
-        rschema.add_constraint(
-            CheckConstraint(
-                name, relation=relation, predicate=predicate,
-                comment="Exclusion",
-            )
-        )
-        provenance.add_constraint(name, concept)
-        provenance.add_forward(concept, f"CHECK {predicate.render()}")
-        state.record(
-            "exclusion-check",
-            "relational-relational",
-            constraint.name,
-            "exclusion mapped to a CHECK",
-            (name,),
+        check = CheckConstraint(name, relation, exclusion(predicates), EXCLUSION)
+        _add_check(
+            state, rschema, provenance, constraint, concept, check,
+            "exclusion-check", "exclusion mapped to a CHECK",
         )
         return
     state.pseudo_constraints.append(
@@ -908,33 +883,13 @@ def _map_equality(
     same = _pairwise_same_relation(plan, constraint.items)
     if same is not None:
         relation, predicates = same
-        columns: list[str] = []
-        simple = all(
-            isinstance(p, NotNull) for p in predicates
-        )
-        if simple:
-            predicate = equal_existence(
-                tuple(p.column for p in predicates)  # type: ignore[union-attr]
-            )
-        else:
-            predicate = or_(
-                and_(*predicates), and_(*(Not(p) for p in predicates))
-            )
         name = rschema.fresh_constraint_name(naming.EQUAL_EXISTENCE_STEM)
-        rschema.add_constraint(
-            CheckConstraint(
-                name, relation=relation, predicate=predicate,
-                comment="Equal Existence",
-            )
+        check = CheckConstraint(
+            name, relation, equal_existence(predicates), EQUAL_EXISTENCE
         )
-        provenance.add_constraint(name, concept)
-        provenance.add_forward(concept, f"CHECK {predicate.render()}")
-        state.record(
-            "equal-existence",
-            "relational-relational",
-            constraint.name,
-            "role equality mapped to an Equal Existence CHECK",
-            (name,),
+        _add_check(
+            state, rschema, provenance, constraint, concept, check,
+            "equal-existence", "role equality mapped to an Equal Existence CHECK",
         )
         return
     # Cross-relation: equality view over the instance sets.
@@ -1000,33 +955,17 @@ def _map_subset(
                 concept, "-- consumed: superset role covers every row"
             )
             return
-        if isinstance(sub_presence, NotNull) and isinstance(
-            super_presence, NotNull
-        ):
-            predicate = dependent_existence(
-                sub_presence.column, super_presence.column
-            )
-        else:
-            predicate = or_(
-                and_(sub_presence, super_presence), Not(sub_presence)
-            )
         name = rschema.fresh_constraint_name(naming.DEPENDENT_EXISTENCE_STEM)
-        rschema.add_constraint(
-            CheckConstraint(
-                name,
-                relation=sub_location.relation,
-                predicate=predicate,
-                comment="Dependent Existence",
-            )
+        check = CheckConstraint(
+            name,
+            sub_location.relation,
+            dependent_existence(sub_presence, super_presence),
+            DEPENDENT_EXISTENCE,
         )
-        provenance.add_constraint(name, concept)
-        provenance.add_forward(concept, f"CHECK {predicate.render()}")
-        state.record(
+        _add_check(
+            state, rschema, provenance, constraint, concept, check,
             "dependent-existence",
-            "relational-relational",
-            constraint.name,
             "role subset mapped to a Dependent Existence CHECK",
-            (name,),
         )
         return
     name = rschema.fresh_constraint_name(naming.SUBSET_VIEW_STEM)
@@ -1077,15 +1016,15 @@ def _map_value_constraints(
         concept = constraint.describe(schema)
         for relation, unit in columns_by_lot.get(constraint.object_type, ()):
             name = rschema.fresh_constraint_name(naming.VALUE_STEM)
-            predicate: Predicate = InValues(unit.name, constraint.values)
-            if unit.nullable:
-                predicate = Or((IsNull(unit.name), predicate))
+            predicate = value_restriction(
+                unit.name, constraint.values, unit.nullable
+            )
             rschema.add_constraint(
                 CheckConstraint(
                     name,
                     relation=relation,
                     predicate=predicate,
-                    comment="Value Restriction",
+                    comment=VALUE_RESTRICTION,
                 )
             )
             provenance.add_constraint(name, concept)

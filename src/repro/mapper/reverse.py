@@ -28,9 +28,9 @@ Columns lift to functional fact types: single-column FKs become
 reference attributes (the role name is the column minus the target's
 key prefix), plain columns are split at the first compatible
 underscore into ``<LOT>_<far role>``.  CHECK constraints dispatch on
-the mapper's own comment grammar (``Value Restriction``, ``Dependent
-Existence``, ``Equal Existence``, ``Exclusion``, ``Total Union``),
-view constraints on their select structure.
+their annotation and are read through that form's exact inverse in
+:mod:`repro.relational.predicates`, so only item resolution happens
+here; view constraints dispatch on their select structure.
 
 The lift is *conservative by construction*: it only produces BRM
 constraints that the forward mapper can re-express in real DDL.
@@ -65,14 +65,19 @@ from repro.relational.constraints import (
     SubsetViewConstraint,
 )
 from repro.relational.predicates import (
-    And,
-    Compare,
-    InValues,
-    IsNull,
-    Not,
-    NotNull,
-    Or,
+    DEPENDENT_EXISTENCE,
+    EQUAL_EXISTENCE,
+    EXCLUSION,
+    TOTAL_UNION,
+    VALUE_RESTRICTION,
     Predicate,
+    dependent_existence_operands,
+    equal_existence_operands,
+    exclusion_operands,
+    presence,
+    presence_columns,
+    total_union_operands,
+    value_restriction_operands,
 )
 from repro.relational.schema import Attribute, Relation, RelationalSchema
 from repro.sql.parse import ParseResult, parse_ddl
@@ -337,9 +342,9 @@ class _Lifter:
     def _index_value_checks(self) -> None:
         for relation in self.r.relations:
             for check in self.r.checks(relation.name):
-                if check.comment != "Value Restriction":
+                if check.comment != VALUE_RESTRICTION:
                     continue
-                shape = _value_shape(check.predicate)
+                shape = value_restriction_operands(check.predicate)
                 if shape is None:
                     self.note(
                         "dropped",
@@ -348,7 +353,7 @@ class _Lifter:
                     )
                     self.consumed.add(check.name)
                     continue
-                column, values = shape
+                column, values, _nullable = shape
                 self.values_by_col[(relation.name, column)] = (
                     values,
                     check.name,
@@ -431,7 +436,7 @@ class _Lifter:
                 and left.where is None
                 and right.relation == super_rel
                 and tuple(right.columns) == tuple(ck.columns)
-                and _notnull_columns(right.where) == set(ck.columns)
+                and right.where == presence(ck.columns)
             ):
                 self.consumed_views.add(view.name)
                 return
@@ -917,36 +922,29 @@ class _Lifter:
 
     # -- pass 6: CHECK constraints --------------------------------------
 
-    def _item_for_column(self, relation: str, column: str):
-        """The constraint item whose presence predicate is
-        ``NotNull(column)`` in ``relation``, or None."""
-        triple = self.colrole.get((relation, column))
-        if triple is not None:
-            fact, near_role, _far = triple
-            return (fact, near_role)
-        sublink = self.is_cols.get((relation, column))
-        if sublink is not None:
+    def _presence_item(self, relation: str, predicate: Predicate):
+        """The constraint item whose presence test in ``relation`` is
+        ``predicate``: a fact role or a sublink for one column, a
+        sublink for several; None when nothing lifted matches."""
+        columns = presence_columns(predicate) or ()
+        if len(columns) == 1:
+            triple = self.colrole.get((relation, columns[0]))
+            if triple is not None:
+                fact, near_role, _far = triple
+                return (fact, near_role)
+        entities = {self.is_cols.get((relation, c)) for c in columns}
+        if len(entities) == 1 and None not in entities:
+            entity = entities.pop()
             for name in self.sublink_names:
-                if name.startswith(f"{sublink}_IS_"):
+                if name.startswith(f"{entity}_IS_"):
                     return f"sublink:{name}"
         return None
 
-    def _operand_item(self, relation: str, operand: Predicate):
-        if isinstance(operand, NotNull):
-            return self._item_for_column(relation, operand.column)
-        if isinstance(operand, And) and all(
-            isinstance(o, NotNull) for o in operand.operands
-        ):
-            columns = [o.column for o in operand.operands]
-            sublinks = {
-                self.is_cols.get((relation, c)) for c in columns
-            }
-            if len(sublinks) == 1 and None not in sublinks:
-                entity = sublinks.pop()
-                for name in self.sublink_names:
-                    if name.startswith(f"{entity}_IS_"):
-                        return f"sublink:{name}"
-        return None
+    def _presence_items(self, relation: str, presences) -> list | None:
+        """The item of every presence, or None when one does not
+        resolve (or the predicate had another form)."""
+        items = [self._presence_item(relation, p) for p in presences or ()]
+        return items if items and None not in items else None
 
     def _lift_checks(self) -> None:
         for relation in self.ordered:
@@ -958,10 +956,10 @@ class _Lifter:
 
     def _lift_check(self, relation: str, check: CheckConstraint) -> None:
         handler = {
-            "Dependent Existence": self._lift_dependent_existence,
-            "Equal Existence": self._lift_equal_existence,
-            "Exclusion": self._lift_exclusion,
-            "Total Union": self._lift_total_union,
+            DEPENDENT_EXISTENCE: self._lift_dependent_existence,
+            EQUAL_EXISTENCE: self._lift_equal_existence,
+            EXCLUSION: self._lift_exclusion,
+            TOTAL_UNION: self._lift_total_union,
         }.get(check.comment or "")
         if handler is None:
             self.note(
@@ -981,26 +979,12 @@ class _Lifter:
     def _lift_dependent_existence(
         self, relation: str, check: CheckConstraint
     ) -> bool:
-        predicate = check.predicate
-        if not (
-            isinstance(predicate, Or)
-            and len(predicate.operands) == 2
-            and isinstance(predicate.operands[0], And)
-            and len(predicate.operands[0].operands) == 2
-            and isinstance(predicate.operands[1], IsNull)
-        ):
+        operands = dependent_existence_operands(check.predicate)
+        items = self._presence_items(relation, operands)
+        if items is None:
             return False
-        both = predicate.operands[0].operands
-        if not all(isinstance(o, NotNull) for o in both):
-            return False
-        dependent, required = both[0].column, both[1].column
-        if predicate.operands[1].column != dependent:
-            return False
-        sub = self._item_for_column(relation, dependent)
-        sup = self._item_for_column(relation, required)
-        if sub is None or sup is None:
-            return False
-        self.b.subset(sub, sup)
+        self.b.subset(*items)
+        dependent, required = (_columns_text((o,)) for o in operands)
         self.entry(
             self._last_constraint(), "constraint", relation,
             f"CHECK dependent existence "
@@ -1012,29 +996,14 @@ class _Lifter:
     def _lift_equal_existence(
         self, relation: str, check: CheckConstraint
     ) -> bool:
-        predicate = check.predicate
-        if not (
-            isinstance(predicate, Or)
-            and len(predicate.operands) == 2
-            and isinstance(predicate.operands[0], And)
-            and isinstance(predicate.operands[1], And)
-        ):
-            return False
-        nulls, notnulls = predicate.operands
-        if not all(isinstance(o, IsNull) for o in nulls.operands):
-            return False
-        if not all(isinstance(o, NotNull) for o in notnulls.operands):
-            return False
-        columns = [o.column for o in notnulls.operands]
-        if [o.column for o in nulls.operands] != columns:
-            return False
-        items = [self._item_for_column(relation, c) for c in columns]
-        if any(item is None for item in items):
+        presences = equal_existence_operands(check.predicate)
+        items = self._presence_items(relation, presences)
+        if items is None:
             return False
         self.b.equality(*items)
         self.entry(
             self._last_constraint(), "constraint", relation,
-            f"CHECK equal existence over {', '.join(columns)}",
+            f"CHECK equal existence over {_columns_text(presences)}",
             (check.name,),
         )
         return True
@@ -1042,31 +1011,11 @@ class _Lifter:
     def _lift_exclusion(
         self, relation: str, check: CheckConstraint
     ) -> bool:
-        predicate = check.predicate
-        pairs = (
-            predicate.operands
-            if isinstance(predicate, And)
-            else (predicate,)
-        )
-        items: list = []
-        seen: set = set()
-        for pair in pairs:
-            if not (
-                isinstance(pair, Or)
-                and len(pair.operands) == 2
-                and all(isinstance(o, Not) for o in pair.operands)
-            ):
-                return False
-            for negated in pair.operands:
-                item = self._operand_item(relation, negated.operand)
-                if item is None:
-                    return False
-                if item not in seen:
-                    seen.add(item)
-                    items.append(item)
-        if len(items) < 2:
+        presences = exclusion_operands(check.predicate)
+        items = self._presence_items(relation, presences)
+        if items is None or len(set(items)) < 2:
             return False
-        self.b.exclusion(*items)
+        self.b.exclusion(*dict.fromkeys(items))
         self.entry(
             self._last_constraint(), "constraint", relation,
             "CHECK pairwise exclusion",
@@ -1077,21 +1026,12 @@ class _Lifter:
     def _lift_total_union(
         self, relation: str, check: CheckConstraint
     ) -> bool:
-        cls = self.classes[relation]
-        if cls.kind not in ("anchor", "self", "subtype"):
+        if self.classes[relation].kind not in ("anchor", "self", "subtype"):
             return False
-        predicate = check.predicate
-        operands = (
-            predicate.operands
-            if isinstance(predicate, Or)
-            else (predicate,)
-        )
-        items = []
-        for operand in operands:
-            item = self._operand_item(relation, operand)
-            if item is None:
-                return False
-            items.append(item)
+        presences = total_union_operands(check.predicate)
+        items = self._presence_items(relation, presences)
+        if items is None:
+            return False
         self.b.total_union(relation, *items)
         self.entry(
             self._last_constraint(), "constraint", relation,
@@ -1106,7 +1046,7 @@ class _Lifter:
     # -- pass 7: view constraints ---------------------------------------
 
     def _resolve_side(self, side: SelectSpec):
-        where = _notnull_columns(side.where)
+        where = presence_columns(side.where)
         if where is None:
             return None
         return self.locindex.get(
@@ -1249,27 +1189,13 @@ class _Lifter:
 
 
 # ----------------------------------------------------------------------
-# Predicate shape helpers
+# Text helpers
 # ----------------------------------------------------------------------
 
 
-def _value_shape(
-    predicate: Predicate,
-) -> tuple[str, tuple] | None:
-    """``(column, values)`` from a Value Restriction CHECK."""
-    if isinstance(predicate, InValues):
-        return predicate.column, tuple(predicate.values)
-    if isinstance(predicate, Compare) and predicate.op == "=":
-        return predicate.column, (predicate.value,)
-    if (
-        isinstance(predicate, Or)
-        and len(predicate.operands) == 2
-        and isinstance(predicate.operands[0], IsNull)
-    ):
-        inner = _value_shape(predicate.operands[1])
-        if inner is not None and inner[0] == predicate.operands[0].column:
-            return inner
-    return None
+def _columns_text(presences) -> str:
+    """The columns of presence tests, for a report clause."""
+    return ", ".join(c for p in presences for c in presence_columns(p) or ())
 
 
 def _lift_values(values: tuple, datatype: DataType) -> tuple:
@@ -1278,20 +1204,6 @@ def _lift_values(values: tuple, datatype: DataType) -> tuple:
     if datatype.kind is DataTypeKind.BOOLEAN and set(values) <= {"Y", "N"}:
         return tuple(value == "Y" for value in values)
     return values
-
-
-def _notnull_columns(where: Predicate | None) -> set[str] | None:
-    """The columns of a NOT-NULL-conjunction WHERE, ``set()`` for no
-    WHERE, or None when the predicate has another shape."""
-    if where is None:
-        return set()
-    if isinstance(where, NotNull):
-        return {where.column}
-    if isinstance(where, And) and all(
-        isinstance(o, NotNull) for o in where.operands
-    ):
-        return {o.column for o in where.operands}
-    return None
 
 
 # ----------------------------------------------------------------------

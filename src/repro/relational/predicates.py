@@ -23,6 +23,7 @@ false; our atoms never evaluate to unknown).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -264,35 +265,176 @@ def or_(*operands: Predicate) -> Predicate:
     return Or(tuple(operands))
 
 
-def dependent_existence(dependent: str, required: str) -> Predicate:
+# ----------------------------------------------------------------------
+# The forms the mapper writes (paper section 4.1)
+#
+# Each builder sits next to its inverse.  An inverse returns the
+# builder's operands only when rebuilding from them reproduces the
+# predicate exactly, so the lift reads back precisely what the mapper
+# writes.  A *presence* is the row test of one constraint item: a
+# ``presence(columns)`` conjunction or an ``indicator(flag)`` test.
+# ----------------------------------------------------------------------
+
+DEPENDENT_EXISTENCE = "Dependent Existence"
+EQUAL_EXISTENCE = "Equal Existence"
+EXCLUSION = "Exclusion"
+TOTAL_UNION = "Total Union"
+VALUE_RESTRICTION = "Value Restriction"
+CONDITIONAL_EQUALITY = "Conditional Equality"
+
+
+def presence(columns: tuple[str, ...]) -> Predicate | None:
+    """Every column NOT NULL; None (every row counts) for no columns."""
+    return and_(*(NotNull(c) for c in columns)) if columns else None
+
+
+def presence_columns(predicate: Predicate | None) -> tuple[str, ...] | None:
+    """The columns of a :func:`presence` test, or None for another form."""
+    if predicate is None:
+        return ()
+    operands = predicate.operands if isinstance(predicate, And) else (predicate,)
+    columns = tuple(o.column for o in operands if isinstance(o, NotNull))
+    return columns if len(columns) == len(operands) else None
+
+
+def indicator(flag: str) -> Predicate:
+    """The INDICATOR policy's membership test ``flag = 'Y'``."""
+    return Compare(flag, "=", "Y")
+
+
+def indicator_flag(predicate: Predicate | None) -> str | None:
+    """The flag of an :func:`indicator` test, or None for another form."""
+    if isinstance(predicate, Compare) and predicate == indicator(predicate.column):
+        return predicate.column
+    return None
+
+
+def dependent_existence(dependent: Predicate, required: Predicate) -> Predicate:
     """The paper's *Dependent Existence* shape (``C_DE$`` rules).
 
-    When ``dependent`` is present, ``required`` must be present too::
+    When ``dependent`` holds, ``required`` must hold too.  Between two
+    single-column presences the absence is spelled ``IS NULL``::
 
         ( ( dependent IS NOT NULL ) AND ( required IS NOT NULL ) )
         OR ( dependent IS NULL )
+
+    and between any other presences ``NOT dependent``.
     """
-    return Or(
-        (
-            And((NotNull(dependent), NotNull(required))),
-            IsNull(dependent),
-        )
-    )
+    if isinstance(dependent, NotNull) and isinstance(required, NotNull):
+        return Or((And((dependent, required)), IsNull(dependent.column)))
+    return Or((And((dependent, required)), Not(dependent)))
 
 
-def equal_existence(columns: tuple[str, ...]) -> Predicate:
+def dependent_existence_operands(
+    predicate: Predicate,
+) -> tuple[Predicate, Predicate] | None:
+    """``(dependent, required)`` of a :func:`dependent_existence`."""
+    if isinstance(predicate, Or) and isinstance(predicate.operands[0], And):
+        both = predicate.operands[0].operands
+        if len(both) == 2 and dependent_existence(*both) == predicate:
+            return both[0], both[1]
+    return None
+
+
+def equal_existence(presences: tuple[Predicate, ...]) -> Predicate:
     """The paper's *Equal Existence* shape (``C_EE$`` rules).
 
-    All listed columns are NULL together or NOT NULL together::
+    All presences hold together or none does.  Over single columns::
 
         ( ( a IS NULL ) AND ( b IS NULL ) )
         OR ( ( a IS NOT NULL ) AND ( b IS NOT NULL ) )
+
+    and over any other presences ``( a AND b ) OR ( NOT a AND NOT b )``.
     """
-    if len(columns) < 2:
-        raise ValueError("equal existence needs at least two columns")
+    if len(presences) < 2:
+        raise ValueError("equal existence needs at least two presences")
+    columns = [p.column for p in presences if isinstance(p, NotNull)]
+    if len(columns) == len(presences):
+        return Or((And(tuple(IsNull(c) for c in columns)), And(presences)))
+    return Or((And(presences), And(tuple(Not(p) for p in presences))))
+
+
+def equal_existence_operands(
+    predicate: Predicate,
+) -> tuple[Predicate, ...] | None:
+    """The presences of an :func:`equal_existence`."""
+    if isinstance(predicate, Or) and len(predicate.operands) == 2:
+        for side in reversed(predicate.operands):
+            if isinstance(side, And) and equal_existence(side.operands) == predicate:
+                return side.operands
+    return None
+
+
+def exclusion(presences: tuple[Predicate, ...]) -> Predicate:
+    """Pairwise *Exclusion*: no two of the presences hold at once."""
+    return and_(
+        *(Or((Not(a), Not(b))) for a, b in itertools.combinations(presences, 2))
+    )
+
+
+def exclusion_operands(predicate: Predicate) -> tuple[Predicate, ...] | None:
+    """The presences of an :func:`exclusion`, in order; a conjunction
+    missing one of the pairs is not an exclusion."""
+    pairs = predicate.operands if isinstance(predicate, And) else (predicate,)
+    negated = [o for pair in pairs if isinstance(pair, Or) for o in pair.operands]
+    presences = tuple(dict.fromkeys(o.operand for o in negated if isinstance(o, Not)))
+    if len(presences) >= 2 and exclusion(presences) == predicate:
+        return presences
+    return None
+
+
+def total_union(presences: tuple[Predicate, ...]) -> Predicate:
+    """*Total Union*: at least one of the presences holds."""
+    return or_(*presences)
+
+
+def total_union_operands(predicate: Predicate) -> tuple[Predicate, ...] | None:
+    """The presences of a :func:`total_union`: its disjuncts, when each
+    is a :func:`presence` or an :func:`indicator` test."""
+    presences = predicate.operands if isinstance(predicate, Or) else (predicate,)
+    if all(presence_columns(p) or indicator_flag(p) for p in presences):
+        return presences
+    return None
+
+
+def value_restriction(
+    column: str, values: tuple[object, ...], nullable: bool
+) -> Predicate:
+    """*Value Restriction*: the column holds one of the values, or is
+    NULL when it is nullable."""
+    restriction = InValues(column, values)
+    return Or((IsNull(column), restriction)) if nullable else restriction
+
+
+def value_restriction_operands(
+    predicate: Predicate,
+) -> tuple[str, tuple[object, ...], bool] | None:
+    """``(column, values, nullable)`` of a :func:`value_restriction`."""
+    nullable = isinstance(predicate, Or)
+    inner = predicate.operands[-1] if isinstance(predicate, Or) else predicate
+    if isinstance(inner, InValues) and value_restriction(
+        inner.column, inner.values, nullable
+    ) == predicate:
+        return inner.column, inner.values, nullable
+    return None
+
+
+def conditional_equality(flag: str, leg: str) -> Predicate:
+    """The INDICATOR policy's *Conditional Equality*: the flag reads
+    ``'Y'`` exactly when the sublink column is present."""
     return Or(
         (
-            And(tuple(IsNull(c) for c in columns)),
-            And(tuple(NotNull(c) for c in columns)),
+            And((indicator(flag), NotNull(leg))),
+            And((Compare(flag, "=", "N"), IsNull(leg))),
         )
     )
+
+
+def conditional_equality_operands(predicate: Predicate) -> tuple[str, str] | None:
+    """``(flag, leg)`` of a :func:`conditional_equality`."""
+    if isinstance(predicate, Or) and isinstance(predicate.operands[0], And):
+        first = predicate.operands[0].operands
+        flag, legs = indicator_flag(first[0]), presence_columns(first[-1])
+        if flag and legs and conditional_equality(flag, legs[0]) == predicate:
+            return flag, legs[0]
+    return None

@@ -229,8 +229,13 @@ class DdlEmitter:
     def _emit_table_trailer(
         self, schema: RelationalSchema, relation: Relation, views
     ) -> str:
-        """The commented view-constraint (and unsupported-CHECK) block."""
+        """The commented view-constraint block, with the CHECKs and
+        multi-column foreign keys the dialect cannot declare."""
         blocks = []
+        if not self.profile.supports_foreign_keys:
+            for foreign_key in schema.foreign_keys(relation.name):
+                if len(foreign_key.columns) > 1:
+                    blocks.append(as_comment(foreign_key.render()))
         if not self.profile.supports_check:
             for check in schema.checks(relation.name):
                 blocks.append(as_comment(check.render()))

@@ -11,7 +11,9 @@ trailers and the per-dialect quirks:
   lose their names entirely get fresh, never-printed names;
 * ``-- REFERENCES ... CONSTRAINT name`` single-line comments on
   dialects without declarative foreign keys (INGRES, SYBASE) are
-  parsed back into real :class:`ForeignKey` constraints;
+  parsed back into real :class:`ForeignKey` constraints, and so are
+  the commented ``FOREIGN KEY`` blocks those dialects write in the
+  table's trailer for multi-column foreign keys;
 * dialect type overrides are inverted (``NUMBER(10)`` on ORACLE is
   read back as ``INTEGER``); ambiguous spellings resolve to the
   override, which is byte-stable on re-emission.
@@ -40,6 +42,7 @@ from repro.relational.constraints import (
     SubsetViewConstraint,
 )
 from repro.relational.predicates import (
+    CONDITIONAL_EQUALITY,
     And,
     Compare,
     InValues,
@@ -48,6 +51,7 @@ from repro.relational.predicates import (
     NotNull,
     Or,
     Predicate,
+    indicator_flag,
 )
 from repro.relational.schema import (
     Attribute,
@@ -80,6 +84,10 @@ _TABLE_UNIQUE_RE = re.compile(
 _TABLE_FK_RE = re.compile(
     r"^FOREIGN KEY \( (?P<cols>.*) \) REFERENCES (?P<rel>\S+) "
     r"\( (?P<rcols>.*) \)(?: CONSTRAINT (?P<cname>\S+))?$"
+)
+_TRAILER_FK_RE = re.compile(
+    r"^FOREIGN KEY (?P<rel>\S+) \( (?P<cols>.*) \) REFERENCES (?P<ref>\S+) "
+    r"\( (?P<rcols>.*) \) CONSTRAINT (?P<cname>\S+)$"
 )
 _PSEUDO_NAME_RE = re.compile(r"^-- (?P<name>[A-Za-z0-9_$.]+):")
 
@@ -831,6 +839,8 @@ def _parse_trailer_block(
     head = block[0]
     if head.startswith("CHECK("):
         _parse_trailer_check(block, line, pending)
+    elif head.startswith("FOREIGN KEY "):
+        _parse_trailer_foreign_key(block, line, pending)
     elif head == "EQUALITY VIEW CONSTRAINT :":
         _parse_view(block, line, pending, equality=True)
     elif head == "SUBSET VIEW CONSTRAINT :":
@@ -859,6 +869,27 @@ def _parse_trailer_check(
     pending.constraints.append(check)
     pending.provenance.append(
         Provenance("constraint", name, relation, line, f"CHECK -- {comment}")
+    )
+
+
+def _parse_trailer_foreign_key(
+    block: list[str], line: int, pending: _PendingSchema
+) -> None:
+    # FOREIGN KEY rel ( cols ) / REFERENCES rel ( cols ) / CONSTRAINT n
+    text = " ".join(block)
+    match = _TRAILER_FK_RE.match(text)
+    if len(block) != 3 or match is None:
+        raise DdlParseError("malformed commented FOREIGN KEY block", line)
+    foreign = ForeignKey(
+        match.group("cname"),
+        match.group("rel"),
+        _split_columns(match.group("cols")),
+        match.group("ref"),
+        _split_columns(match.group("rcols")),
+    )
+    pending.constraints.append(foreign)
+    pending.provenance.append(
+        Provenance("constraint", foreign.name, foreign.relation, line, block[0])
     )
 
 
@@ -928,15 +959,16 @@ def _view_comment(
     """Reconstruct the mapper's comment annotation from the shape.
 
     Comments never reach the DDL text (only the views' ``render()``
-    bodies do), but the lift dispatches on them; the shapes are
-    unambiguous: a sublink-membership equality filters the superset
-    side on NOT NULL is-columns, a conditional equality filters on an
-    indicator comparison, and subset views distinguish "total role"
-    (whole-key subset side) from "role subset" by construction.
+    bodies do).  An equality view with an indicator test on either side
+    is a conditional equality; one that filters only its right side is
+    the sublink-membership equality; any other is a "role equality".
+    Every subset view reads back as "role subset": the mapper's "total
+    role" subset views are not told apart, and nothing reads view
+    comments (the lift dispatches views on their select structure).
     """
     if equality:
-        if isinstance(right.where, Compare) or isinstance(left.where, Compare):
-            return "Conditional Equality"
+        if indicator_flag(right.where) or indicator_flag(left.where):
+            return CONDITIONAL_EQUALITY
         if right.where is not None and left.where is None:
             return "sub-relation membership equals the non-NULL sublink attribute"
         return "role equality"

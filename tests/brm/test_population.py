@@ -489,3 +489,70 @@ class TestSharedEmptySet:
         assert pop.fact_instances("has_id") == frozenset()
         assert pop.fact_instances("scheduled") == {("p1", 7)}
         assert pickle.loads(pickle.dumps(restored)) == restored
+
+
+FLAGS_SCHEMA = """schema Flags
+lot Code : char(1)
+lot Flag : boolean
+lot Count : integer
+nolot Thing
+identifier Thing by Code
+attribute Thing has Flag [total]
+attribute Thing has Count [total]
+constraint values Flag : true, false
+"""
+
+
+class TestInterningByType:
+    """``True == 1 == 1.0`` in Python, but they are different instances."""
+
+    def test_equal_values_of_different_types_get_different_ids(self, schema):
+        pop = Population(schema)
+        values = [True, 1, 1.0, False, 0, (1, "a"), (True, "a"), "1"]
+        ids = [pop.intern(value) for value in values]
+        assert len(set(ids)) == len(values)
+        for value, interned in zip(values, ids):
+            assert type(pop.value(interned)) is type(value)
+            assert pop.id_of(value) == interned
+        assert pop.intern_all(values) == ids
+        fresh = Population(schema)
+        assert fresh.intern_all(values) == list(range(len(values)))
+        assert fresh._intern == pop._intern
+
+    def test_state_diff_tells_a_boolean_from_an_integer(self, schema):
+        flags, counts = Population(schema), Population(schema)
+        flags.add_instance("Session", True)
+        counts.add_instance("Session", 1)
+        assert flags.state_diff(counts) == {"Session": 2}
+        assert flags != counts
+        counts.discard_instance("Session", 1)
+        counts.add_instance("Session", True)
+        assert flags == counts
+
+    def test_forward_keeps_a_boolean_and_an_integer_apart(self):
+        from repro.dsl import parse
+        from repro.mapper import map_schema
+
+        flags = parse(FLAGS_SCHEMA)
+        pop = Population(flags)
+        pop.add_fact("Thing_has_Code", "A", "A")
+        pop.add_fact("Thing_has_Flag", "A", True)
+        pop.add_fact("Thing_has_Count", "A", 1)
+        assert pop.facts_of("Thing_has_Count", "with", "A") == {1}
+        state_map = map_schema(flags).state_map
+        database = state_map.forward(pop)
+        (row,) = database.iter_rows("Thing")
+        assert type(row["Flag_of"]) is bool and type(row["Count_of"]) is int
+        assert row == {"Code": "A", "Flag_of": True, "Count_of": 1}
+        assert state_map.backward(database) == pop
+
+    def test_value_constraint_does_not_admit_an_integer_boolean(self):
+        from repro.dsl import parse
+
+        pop = Population(parse(FLAGS_SCHEMA))
+        pop.add_fact("Thing_has_Code", "B", "B")
+        pop.add_fact("Thing_has_Flag", "B", 1)
+        pop.add_fact("Thing_has_Count", "B", 1)
+        assert [v.message for v in pop.check()] == [
+            "instance 1 of 'Flag' is not among the allowed values"
+        ]

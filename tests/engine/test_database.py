@@ -191,7 +191,9 @@ class TestConstraintChecking:
         )
         schema.add_constraint(
             CheckConstraint(
-                "C_DE$_1", relation="Wide", predicate=dependent_existence("A", "B")
+                "C_DE$_1",
+                relation="Wide",
+                predicate=dependent_existence(NotNull("A"), NotNull("B")),
             )
         )
         db = Database(schema)

@@ -27,7 +27,10 @@ query before it knew whether any identifier was unportable
 (``lint.checker_identifier_unportable``), and the six per-kind
 ``isinstance`` ladders over the BRM constraint classes (items,
 verdicts, both duplicate keys, map-report descriptions and DSL
-statements) that each class's own faces replaced (``brm_constraints``).
+statements) that each class's own faces replaced (``brm_constraints``),
+and the lifter's hand-written predicate-tree recognisers of the
+lossless-rule CHECKs and presence tests, which each form's exact
+inverse replaced (``relational``).
 The property suites compare each pair after randomized construction
 and mutation sequences; no production path imports this package.
 """

@@ -275,7 +275,7 @@ def _check_value(
     allowed = {
         interned
         for value in constraint.values
-        if (interned := self._intern.get(value)) is not None
+        if (interned := self.id_of(value)) is not None
     }
     values = self._values
     return [

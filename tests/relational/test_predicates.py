@@ -84,7 +84,9 @@ class TestCombinators:
 class TestPaperShapes:
     def test_dependent_existence_matches_paper(self):
         # C_DE$_8: Person_presenting requires Paper_ProgramId_with.
-        pred = dependent_existence("Person_presenting", "Paper_ProgramId_with")
+        pred = dependent_existence(
+            NotNull("Person_presenting"), NotNull("Paper_ProgramId_with")
+        )
         assert pred.evaluate({"Person_presenting": None, "Paper_ProgramId_with": None})
         assert pred.evaluate({"Person_presenting": None, "Paper_ProgramId_with": "P1"})
         assert pred.evaluate({"Person_presenting": "Ann", "Paper_ProgramId_with": "P1"})
@@ -93,14 +95,16 @@ class TestPaperShapes:
         )
 
     def test_dependent_existence_rendering(self):
-        text = dependent_existence("a", "b").render()
+        text = dependent_existence(NotNull("a"), NotNull("b")).render()
         assert "( a IS NOT NULL )" in text
         assert "( a IS NULL )" in text
         assert " OR " in text
 
     def test_equal_existence_matches_paper(self):
         # C_EE$_6: Paper_ProgramId_with and Session_comprising together.
-        pred = equal_existence(("Paper_ProgramId_with", "Session_comprising"))
+        pred = equal_existence(
+            (NotNull("Paper_ProgramId_with"), NotNull("Session_comprising"))
+        )
         assert pred.evaluate(
             {"Paper_ProgramId_with": None, "Session_comprising": None}
         )
@@ -111,7 +115,7 @@ class TestPaperShapes:
 
     def test_equal_existence_needs_two_columns(self):
         with pytest.raises(ValueError):
-            equal_existence(("only",))
+            equal_existence((NotNull("only"),))
 
 
 class TestRendering:

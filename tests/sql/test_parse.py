@@ -147,8 +147,8 @@ class TestPredicates:
             and_(NotNull("A"), NotNull("B")),
             Not(IsNull("A")),
             Compare("A", "=", "Y"),
-            dependent_existence("Dep", "Ref"),
-            equal_existence(("A", "B")),
+            dependent_existence(NotNull("Dep"), NotNull("Ref")),
+            equal_existence((NotNull("A"), NotNull("B"))),
         ],
     )
     def test_round_trips_through_render(self, predicate):
