@@ -328,19 +328,23 @@ class SqliteBackend(_SqlBackend):
         return True
 
     @classmethod
-    def open_snapshot(cls, path: str) -> "SqliteBackend":
+    def open_snapshot(
+        cls, path: str, schema: RelationalSchema | None
+    ) -> "SqliteBackend":
         """A backend over a snapshot image written by
         :meth:`snapshot_to`.
 
-        Check-phase workers each deserialize the image into a private
+        Sharded workers each deserialize the image into a private
         in-memory database; ``run_rule`` and ``check`` then work
-        unchanged.
+        unchanged.  Row statements (a replayed delta) also need the
+        ``schema`` the image was loaded with; checks alone pass None.
         """
         import sqlite3
 
         with open(path, "rb") as handle:
             image = handle.read()
         backend = cls()
+        backend._schema = schema
         backend._connection = sqlite3.connect(":memory:")
         backend._connection.deserialize(image)
         return backend

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -48,11 +48,10 @@ from repro.executor.compile import (
     prunable_rules,
 )
 from repro.mapper import MappingOptions, map_schema
-from repro.mapper.advisor import resolve_workers
-from repro.observability.tracer import NOOP_SPAN, Tracer
-from repro.observability.tracer import active as _obs_active
+from repro.observability.fanout import fan_out, resolve_workers
 from repro.observability.tracer import count as _obs_count
 from repro.observability.tracer import span as _obs_span
+from repro.relational.schema import RelationalSchema
 from repro.robustness.violations import (
     MUTATOR_KINDS,
     Injection,
@@ -92,70 +91,83 @@ def load_dataset(backend: Backend, schema, dataset: Dataset, *,
 
 
 # ----------------------------------------------------------------------
-# The (optionally sharded) check phase
+# Work on the loaded state, sharded over snapshots
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _ShardTask:
-    """One worker's slice of the compiled rules — the pool payload.
+class _Shard:
+    """One worker's share of the items — the pool payload.
 
-    ``trace_parent`` follows the advisor's span-grafting convention:
-    the PID of the process whose tracer wants the worker's
-    ``executor.*`` spans, or ``None`` when tracing is off.
+    ``schema`` rides along for the replay: a snapshot connection alone
+    cannot build row statements, which need the attribute order.
     """
 
-    db_path: str
-    shard_index: int
-    rules: tuple[tuple[int, CompiledRule], ...]
-    trace_parent: int | None = None
+    path: str
+    schema: RelationalSchema | None
+    work: Callable
+    items: tuple
+    span: str
+    #: The span's attributes: the shard's index and its item count.
+    attributes: dict
 
 
-@dataclass(frozen=True)
-class _ShardResult:
-    """Indexed violations plus, when traced in a worker, its spans."""
-
-    violations: tuple[tuple[int, Violation], ...]
-    spans: list | None = None
-    metrics: dict | None = None
-
-
-def _check_shard(task: _ShardTask) -> _ShardResult:
-    """Run one rule shard against the snapshot (worker entry point).
-
-    Module-level so the payload pickles; also usable in-process, so
-    serial and sharded paths share one code path.
-    """
-    if task.trace_parent is not None and os.getpid() != task.trace_parent:
-        collector = Tracer("executor-worker")
-        with collector.activate():
-            violations = _check_shard_violations(task)
-        return _ShardResult(
-            violations=violations,
-            spans=collector.export_spans(),
-            metrics=collector.metrics.snapshot(),
-        )
-    return _ShardResult(violations=_check_shard_violations(task))
-
-
-def _check_shard_violations(
-    task: _ShardTask,
-) -> tuple[tuple[int, Violation], ...]:
-    backend = SqliteBackend.open_snapshot(task.db_path)
+def _run_shard(shard: _Shard) -> list:
+    """Run one shard's items on a private copy of the snapshot."""
+    backend = SqliteBackend.open_snapshot(shard.path, shard.schema)
     try:
-        with _obs_span(
-            "executor.check_shard",
-            shard=task.shard_index,
-            rules=len(task.rules),
-        ):
-            found = []
-            for index, rule in task.rules:
-                violation = backend.run_rule(rule)
-                if violation is not None:
-                    found.append((index, violation))
-            return tuple(found)
+        with _obs_span(shard.span, **shard.attributes):
+            return [shard.work(backend, item) for item in shard.items]
     finally:
         backend.close()
+
+
+def _sharded(
+    backend: Backend,
+    work: Callable,
+    items: tuple | list,
+    workers: int,
+    *,
+    schema: RelationalSchema | None,
+    span: str,
+    unit: str,
+    parent,
+) -> tuple[list, int]:
+    """``[work(backend, item) for item in items]``, and the worker
+    count that ran it.
+
+    With more than one worker on a backend that can snapshot its
+    loaded state (SQLite), the state is snapshotted once and the items
+    are dealt round-robin to worker processes.  Each worker runs its
+    share on a private copy, under a ``span`` span whose attributes
+    are the shard index and, as ``unit``, its item count; the spans
+    are grafted under ``parent`` in shard order.  Otherwise the items
+    run in-process on the live backend.  Either way the results come
+    back in item order.
+    """
+    effective = resolve_workers(workers, len(items))
+    if effective > 1:
+        with tempfile.TemporaryDirectory(prefix="repro-shard-") as tmp:
+            path = os.path.join(tmp, "state.db")
+            if backend.snapshot_to(path):
+                shares = [items[index::effective] for index in range(effective)]
+                shards = [
+                    _Shard(
+                        path, schema, work, tuple(share),
+                        span, {"shard": index, unit: len(share)},
+                    )
+                    for index, share in enumerate(shares)
+                ]
+                results: list = [None] * len(items)
+                done = fan_out(_run_shard, shards, effective, parent=parent)
+                for index, shard_results in enumerate(done):
+                    results[index::effective] = shard_results
+                return results, effective
+    return [work(backend, item) for item in items], 1
+
+
+def _run_rule(backend: Backend, rule: CompiledRule) -> Violation | None:
+    return backend.run_rule(rule)
 
 
 def run_checks(
@@ -168,7 +180,7 @@ def run_checks(
 
     With ``workers > 1`` on a backend that can snapshot its loaded
     state (SQLite), the rules are dealt round-robin to worker
-    processes that each open a read-only connection on the snapshot;
+    processes that each check a private copy of the snapshot;
     violations are reassembled in compile order and worker spans are
     grafted in shard order, so the result — and the trace shape — is
     identical to a serial run.  Backends that cannot snapshot (and
@@ -176,51 +188,15 @@ def run_checks(
 
     Returns ``(violations, effective_workers)``.
     """
-    effective = resolve_workers(workers, len(rules))
-    tracer = _obs_active()
     with _obs_span(
-        "executor.check",
-        backend=backend.name,
-        rules=len(rules),
-        workers=effective,
+        "executor.check", backend=backend.name, rules=len(rules)
     ) as check_span:
-        if effective <= 1:
-            return backend.check(rules), 1
-        with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
-            snapshot = os.path.join(tmp, "state.db")
-            if not backend.snapshot_to(snapshot):
-                return backend.check(rules), 1
-            shards: list[list[tuple[int, CompiledRule]]] = [
-                [] for _ in range(effective)
-            ]
-            for index, rule in enumerate(rules):
-                shards[index % effective].append((index, rule))
-            tasks = [
-                _ShardTask(
-                    db_path=snapshot,
-                    shard_index=shard_index,
-                    rules=tuple(shard),
-                    trace_parent=None if tracer is None else os.getpid(),
-                )
-                for shard_index, shard in enumerate(shards)
-                if shard
-            ]
-            with ProcessPoolExecutor(max_workers=effective) as pool:
-                results = list(pool.map(_check_shard, tasks))
-        indexed: list[tuple[int, Violation]] = []
-        for result in results:
-            # Graft worker spans in shard order — deterministic
-            # regardless of which worker ran which shard.
-            if tracer is not None and result.spans:
-                tracer.adopt(
-                    result.spans,
-                    parent=None if check_span is NOOP_SPAN else check_span,
-                )
-            if tracer is not None and result.metrics:
-                tracer.metrics.merge(result.metrics)
-            indexed.extend(result.violations)
-        indexed.sort(key=lambda pair: pair[0])
-        return [violation for _, violation in indexed], effective
+        verdicts, effective = _sharded(
+            backend, _run_rule, rules, workers, schema=None,
+            span="executor.check_shard", unit="rules", parent=check_span,
+        )
+        check_span.set("workers", effective)
+        return [v for v in verdicts if v is not None], effective
 
 
 @dataclass
@@ -273,34 +249,10 @@ class DetectionMatrix:
 class _MatrixItem:
     """One injection's replay payload: its delta's rows and rules."""
 
-    index: int
     relation: str
     removed: tuple[dict, ...]
     added: tuple[dict, ...]
     rules: tuple[CompiledRule, ...]
-
-
-@dataclass(frozen=True)
-class _MatrixTask:
-    """One worker's slice of the injection matrix.
-
-    ``schema`` rides along because a snapshot connection alone cannot
-    replay a delta (the row statements need the relations' attribute
-    order).
-    """
-
-    db_path: str
-    shard_index: int
-    items: tuple[_MatrixItem, ...]
-    schema: object = None
-    trace_parent: int | None = None
-
-
-@dataclass(frozen=True)
-class _MatrixResult:
-    fired: tuple[tuple[int, tuple[str, ...]], ...]
-    spans: list | None = None
-    metrics: dict | None = None
 
 
 def _replay(backend: Backend, item: _MatrixItem) -> tuple[str, ...]:
@@ -311,95 +263,6 @@ def _replay(backend: Backend, item: _MatrixItem) -> tuple[str, ...]:
     backend.delete_rows(item.relation, item.added)
     backend.insert_rows(item.relation, item.removed)
     return fired
-
-
-def _matrix_shard(task: _MatrixTask) -> _MatrixResult:
-    """Replay one injection shard on the snapshot (worker entry)."""
-    if task.trace_parent is not None and os.getpid() != task.trace_parent:
-        collector = Tracer("executor-worker")
-        with collector.activate():
-            fired = _matrix_shard_fired(task)
-        return _MatrixResult(
-            fired=fired,
-            spans=collector.export_spans(),
-            metrics=collector.metrics.snapshot(),
-        )
-    return _MatrixResult(fired=_matrix_shard_fired(task))
-
-
-def _matrix_shard_fired(
-    task: _MatrixTask,
-) -> tuple[tuple[int, tuple[str, ...]], ...]:
-    backend = SqliteBackend.open_snapshot(task.db_path)
-    backend._schema = task.schema
-    try:
-        with _obs_span(
-            "executor.inject_shard",
-            shard=task.shard_index,
-            injections=len(task.items),
-        ):
-            return tuple(
-                (item.index, _replay(backend, item)) for item in task.items
-            )
-    finally:
-        backend.close()
-
-
-def _replay_injections(
-    backend: Backend,
-    schema,
-    items: list[_MatrixItem],
-    *,
-    workers: int = 1,
-    parent_span=None,
-) -> list[tuple[str, ...]]:
-    """Which affected rules fire per injection, optionally sharded.
-
-    With ``workers > 1`` on a snapshot-capable backend, the loaded
-    baseline is snapshotted *once* and each worker process replays
-    its share of the deltas on its own copy.  Serially the deltas
-    are replayed on the live backend.  Either way the result is
-    deterministic and the backend is left holding the baseline rows.
-    """
-    effective = resolve_workers(workers, len(items))
-    tracer = _obs_active()
-    if effective > 1:
-        with tempfile.TemporaryDirectory(prefix="repro-inject-") as tmp:
-            snapshot = os.path.join(tmp, "baseline.db")
-            if backend.snapshot_to(snapshot):
-                tasks = [
-                    _MatrixTask(
-                        db_path=snapshot,
-                        shard_index=shard_index,
-                        items=tuple(items[shard_index::effective]),
-                        schema=schema,
-                        trace_parent=(
-                            None if tracer is None else os.getpid()
-                        ),
-                    )
-                    for shard_index in range(effective)
-                ]
-                with ProcessPoolExecutor(max_workers=effective) as pool:
-                    results = list(pool.map(_matrix_shard, tasks))
-                indexed: list[tuple[int, tuple[str, ...]]] = []
-                for result in results:
-                    # Graft worker spans in shard order, exactly like
-                    # the sharded check phase.
-                    if tracer is not None and result.spans:
-                        tracer.adopt(
-                            result.spans,
-                            parent=(
-                                None
-                                if parent_span is NOOP_SPAN
-                                else parent_span
-                            ),
-                        )
-                    if tracer is not None and result.metrics:
-                        tracer.metrics.merge(result.metrics)
-                    indexed.extend(result.fired)
-                indexed.sort(key=lambda pair: pair[0])
-                return [fired for _, fired in indexed]
-    return [_replay(backend, item) for item in items]
 
 
 def detection_matrix(
@@ -430,8 +293,8 @@ def detection_matrix(
     them, and ``reuse_loaded=True`` when the backend already holds
     the loaded baseline — the harness does both, so the dataset is
     loaded exactly once per validation run.  ``workers > 1`` shards
-    the replays across processes, each forking the baseline snapshot
-    (see :func:`_replay_injections`).
+    the replays across processes, each on its own copy of the
+    baseline snapshot, as :func:`run_checks` shards the rules.
     """
     matrix = DetectionMatrix(backend.name, skipped_kinds=skipped_kinds)
     with _obs_span(
@@ -450,7 +313,6 @@ def detection_matrix(
         deps = {rule.name: rule.relations for rule in rules}
         items = [
             _MatrixItem(
-                index=index,
                 relation=injection.delta.relation,
                 removed=injection.delta.removed(baseline),
                 added=injection.delta.added,
@@ -460,10 +322,12 @@ def detection_matrix(
                     if injection.delta.relation in deps[rule.name]
                 ),
             )
-            for index, injection in enumerate(injections)
+            for injection in injections
         ]
-        fired = _replay_injections(
-            backend, schema, items, workers=workers, parent_span=inject_span,
+        fired, _ = _sharded(
+            backend, _replay, items, workers, schema=schema,
+            span="executor.inject_shard", unit="injections",
+            parent=inject_span,
         )
         for injection, fired_rules in zip(injections, fired):
             carried = {

@@ -24,12 +24,12 @@ Two structural optimizations keep the exploration fast:
   combine/omit suffixes fork from the prefix snapshot.  With expert
   rules, which may read any option, the binary key is the prefix key.
 * **Process-pool fan-out** — binary groups are independent, so they
-  are distributed over a :class:`concurrent.futures.\
-ProcessPoolExecutor`; every payload (schema, options, outcomes) is
-  picklable by construction.  ``workers=1`` short-circuits the pool
-  and runs serially in-process; because outcomes are reassembled in
-  enumeration order and scored deterministically, the report is
-  bit-identical for any worker count.
+  are distributed over worker processes by
+  :func:`~repro.observability.fanout.fan_out`; every payload (schema,
+  options, outcomes) is picklable by construction.  ``workers=1``
+  runs serially in-process; because outcomes are reassembled in
+  enumeration order and scored deterministically, the report and its
+  trace are bit-identical for any worker count.
 
 Candidates are scored on their relation *plans* (columns, keys,
 nullability and datatypes are all plan-level decisions), skipping
@@ -41,8 +41,6 @@ full :func:`~repro.mapper.engine.map_schema` run.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.analyzer.implication import check_implications
@@ -67,6 +65,7 @@ from repro.mapper.optionspace import (
 from repro.mapper.rulebase import Rule
 from repro.mapper.synthesis import MappingPlan
 from repro.observability import tracer as obs
+from repro.observability.fanout import fan_out
 from repro.ridl.queries import ConceptualQuery, FactSelection, QueryCompiler
 from repro.robustness.health import HealthReport
 from repro.workloads.statistics import (
@@ -382,14 +381,9 @@ class _GroupTask:
     extra_rules: tuple[Rule, ...] = ()
     #: Position in enumeration order — a deterministic span label.
     binary_index: int = 0
-    #: PID of the process whose tracer wants this group's spans, or
-    #: ``None`` when tracing is off.  A worker (different PID) opens
-    #: its own collector and ships the spans back; the serial path
-    #: (same PID) records straight onto the active tracer.
-    trace_parent: int | None = None
 
 
-def _explore_group(task: _GroupTask) -> "_GroupResult":
+def _explore_group(task: _GroupTask) -> list[CandidateOutcome]:
     """Run one shared binary phase, each of its prefix groups' plan
     synthesis, then fork and score every suffix.
 
@@ -397,34 +391,6 @@ def _explore_group(task: _GroupTask) -> "_GroupResult":
     the process pool; also the serial path, so both are one code
     path and the results are identical by construction.
     """
-    if task.trace_parent is not None and os.getpid() != task.trace_parent:
-        # Worker process: collect spans/metrics locally and ship them
-        # back as picklable payloads for deterministic merging.  (With
-        # a forking start method the worker inherits the parent's
-        # active-tracer contextvar, but that tracer object is a dead
-        # copy — hence the PID check, not an ``active()`` check.)
-        collector = obs.Tracer("advisor-worker")
-        with collector.activate():
-            outcomes = _explore_group_outcomes(task)
-        return _GroupResult(
-            outcomes=outcomes,
-            spans=collector.export_spans(),
-            metrics=collector.metrics.snapshot(),
-        )
-    return _GroupResult(outcomes=_explore_group_outcomes(task))
-
-
-@dataclass(frozen=True)
-class _GroupResult:
-    """One binary group's outcomes plus, when traced in a worker, its
-    spans."""
-
-    outcomes: list[CandidateOutcome]
-    spans: list | None = None
-    metrics: dict | None = None
-
-
-def _explore_group_outcomes(task: _GroupTask) -> list[CandidateOutcome]:
     with obs.span(
         "advisor.binary_group",
         binary_group=task.binary_index,
@@ -510,15 +476,6 @@ def _score_candidates(
     return outcomes
 
 
-def resolve_workers(workers: int | None, groups: int) -> int:
-    """The effective worker count: ``None`` auto-sizes to the CPU
-    count, and never more workers than work items (the advisor's
-    binary groups, the checker's rules or injections)."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, max(1, groups)))
-
-
 def advise(
     schema: BinarySchema,
     space: OptionSpace | None = None,
@@ -540,7 +497,6 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
     process boundary, so ``extra_rules`` must be picklable
     (module-level functions).
     """
-    tracer = obs.active()
     with obs.span(
         "advisor.advise", schema=schema.name
     ) as advise_span, resolution_scope():
@@ -581,31 +537,14 @@ discover_space` for the schema.  ``workers`` defaults to the CPU
                     robustness=robustness,
                     extra_rules=extra_rules,
                     binary_index=binary_index,
-                    trace_parent=None if tracer is None else os.getpid(),
                 )
             )
         obs.count("advisor.binary_groups", len(tasks))
         obs.count("advisor.groups", group_count)
         obs.count("advisor.candidates", len(candidates))
-        effective = resolve_workers(workers, len(tasks))
-        if effective <= 1:
-            results = [_explore_group(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=effective) as pool:
-                results = list(pool.map(_explore_group, tasks))
-        grouped = []
-        for result in results:
-            # Graft worker-collected spans in task (= enumeration)
-            # order, so the span tree is identical to a serial run's
-            # regardless of which worker ran which group.
-            if tracer is not None and result.spans:
-                tracer.adopt(
-                    result.spans,
-                    parent=None if advise_span is obs.NOOP_SPAN else advise_span,
-                )
-            if tracer is not None and result.metrics:
-                tracer.metrics.merge(result.metrics)
-            grouped.append(result.outcomes)
+        # Outcomes come back in task (= enumeration) order, and so do
+        # the worker spans, so the span tree is a serial run's.
+        grouped = fan_out(_explore_group, tasks, workers, parent=advise_span)
         outcomes = sorted(
             (outcome for group in grouped for outcome in group),
             key=CandidateOutcome.sort_key,

@@ -886,6 +886,14 @@ class _Lifter:
         order = {attr.name: i for i, attr in enumerate(relation.attributes)}
         sides.sort(key=lambda side: order[side[0][0]])
         (cols1, player1, role1, src1), (cols2, player2, role2, src2) = sides
+        if role1 == role2:
+            # A compound-key entity (a primary key over all columns, no
+            # covering foreign key) has no far roles to name its sides.
+            raise LiftError(
+                f"relation {relation.name!r}: its primary key spans all its "
+                f"columns, but both lift to the role {role1!r}; a "
+                f"compound-key entity cannot be lifted to a binary fact"
+            )
         pk_cols = set(pk.columns)
         if pk_cols == set(cols1) | set(cols2):
             unique = "pair"

@@ -27,8 +27,9 @@ Concurrency model:
   per thread).
 * **Processes** — a worker process exports its spans with
   :meth:`Tracer.export_spans` (plain picklable dicts) and the parent
-  grafts them with :meth:`Tracer.adopt`; the option advisor does this
-  for its process-pool fan-out, in deterministic task order.
+  grafts them with :meth:`Tracer.adopt`, in deterministic task order;
+  :func:`repro.observability.fanout.fan_out` does this for every
+  process fan-out.
 
 Spans that wrap *cache-filling* work (the version-stamped analyzer
 memos) are marked ``volatile=True``: whether they appear depends on

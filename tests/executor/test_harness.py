@@ -9,6 +9,7 @@ target rule and by no other.
 
 import gc
 import json
+import sqlite3
 import weakref
 
 import pytest
@@ -16,6 +17,9 @@ import pytest
 import repro.executor.harness as harness
 from repro.executor import (
     ValidationReport,
+    compile_rules,
+    dataset_of,
+    load_dataset,
     resolve_backend,
     run_validation,
 )
@@ -24,8 +28,11 @@ from repro.mapper import (
     NullPolicy,
     RelationalStateMap,
     SublinkPolicy,
+    map_schema,
 )
+from repro.observability import Tracer
 from repro.robustness.violations import MUTATOR_KINDS
+from repro.workloads import generate_bulk_population
 from tests.executor.conftest import requires_duckdb
 
 FIG6_ALTERNATIVES = (
@@ -237,6 +244,76 @@ class TestReport:
         )
         assert not broken.ok
         assert "INVALID" in broken.render()
+
+
+def check_spans(tracer, name):
+    return [
+        span
+        for root in tracer.roots
+        for span in (root, *root.children)
+        if span.name == name
+    ]
+
+
+class TestShardedCheck:
+    """``run_checks`` over worker processes finds a serial run's
+    violations, in compile order, and the check span records the
+    worker count that ran."""
+
+    @pytest.fixture(scope="class")
+    def dirty(self, cris):
+        result = map_schema(cris, MappingOptions())
+        population = generate_bulk_population(cris, target_rows=120, seed=7)
+        canonical = result.canonicalize(result.state.to_canonical(population))
+        dataset = dataset_of(result.state_map.forward(canonical))
+        # An all-NULL row in every relation breaks its NOT NULL rules.
+        for rows in dataset.values():
+            rows.append(dict.fromkeys(rows[0]))
+        return result.relational, compile_rules(result.relational), dataset
+
+    @pytest.mark.skipif(
+        not hasattr(sqlite3.Connection, "serialize"),
+        reason="SQLite snapshots need Connection.serialize (Python 3.11+)",
+    )
+    def test_two_workers_find_the_serial_violations_in_compile_order(
+        self, dirty
+    ):
+        relational, rules, dataset = dirty
+        runs = {}
+        for workers in (1, 2):
+            backend = resolve_backend("sqlite").backend
+            tracer = Tracer("check")
+            try:
+                load_dataset(backend, relational, dataset)
+                with tracer.activate():
+                    runs[workers] = harness.run_checks(
+                        backend, rules, workers=workers
+                    )
+            finally:
+                backend.close()
+            assert runs[workers][1] == workers
+            (check,) = check_spans(tracer, "executor.check")
+            assert check.attributes["workers"] == workers
+            shards = [c for c in check.children if c.name == "executor.check_shard"]
+            assert [s.attributes for s in shards] == (
+                [{"shard": i, "rules": len(rules[i::2])} for i in range(2)]
+                if workers == 2 else []
+            )
+        assert runs[1][0] == runs[2][0]
+        order = [rule.name for rule in rules]
+        fired = [violation.rule for violation in runs[2][0]]
+        assert len(fired) > 2
+        assert fired == sorted(fired, key=order.index)
+
+    def test_check_span_records_the_workers_that_ran(self, cris):
+        tracer = Tracer("validate")
+        with tracer.activate():
+            report = run_validation(
+                cris, backend="memory", scale=100, inject=False,
+                check_workers=3,
+            )
+        (check,) = check_spans(tracer, "executor.check")
+        assert check.attributes["workers"] == report.check_workers == 1
 
 
 @requires_duckdb

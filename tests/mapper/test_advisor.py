@@ -15,7 +15,7 @@ from repro.mapper import (
     plan_from_prefix,
     score_plan,
 )
-from repro.mapper.advisor import resolve_workers
+from repro.observability.fanout import resolve_workers
 from repro.workloads.statistics import WorkloadProfile, plan_statistics
 
 
@@ -219,15 +219,15 @@ class TestAdvise:
 
 class TestResolveWorkers:
     def test_explicit(self):
-        assert resolve_workers(4, groups=8) == 4
+        assert resolve_workers(4, tasks=8) == 4
 
     def test_capped_by_groups(self):
-        assert resolve_workers(8, groups=3) == 3
+        assert resolve_workers(8, tasks=3) == 3
 
     def test_floor_of_one(self):
-        assert resolve_workers(0, groups=5) == 1
-        assert resolve_workers(None, groups=0) == 1
+        assert resolve_workers(0, tasks=5) == 1
+        assert resolve_workers(None, tasks=0) == 1
 
     def test_auto_uses_cpu_count(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 6)
-        assert resolve_workers(None, groups=100) == 6
+        assert resolve_workers(None, tasks=100) == 6

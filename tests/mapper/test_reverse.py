@@ -15,6 +15,7 @@ import io
 import json
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, seed as hypothesis_seed, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from repro.mapper import (
     lift_ddl,
     map_schema,
 )
+from repro.mapper.reverse import LiftError
+from repro.sql import PROFILES
 from repro.workloads import SchemaShape, generate_schema
 
 from tests.strategies import (
@@ -44,6 +47,24 @@ def roundtrip(schema, options=MappingOptions(), dialect="sql2"):
     return lift_ddl(map_schema(schema, options).sql(dialect), dialect)
 
 
+#: ``Room`` maps to a relation whose primary key spans both its
+#: columns, ``Code`` and ``Num``, with no foreign key covering it: a
+#: compound-key entity, which the lift does not handle.  ``Booking``
+#: references it through a two-column foreign key.
+COMPOUND_KEY = """schema Compound
+lot Code : char(3)
+lot Num : integer
+lot Label : char(10)
+nolot Room
+nolot Booking
+fact room_code ( Room has_code [unique, total], Code code_of )
+fact room_num ( Room has_num [unique, total], Num num_of )
+constraint RoomKey unique room_code.code_of, room_num.num_of reference
+identifier Booking by Label
+fact booked ( Booking booked_room [unique, total], Room room_booked )
+"""
+
+
 class TestLift:
     def test_cris_lifts_to_mappable_schema(self):
         lifted = roundtrip(cris_schema())
@@ -53,6 +74,11 @@ class TestLift:
         # options the lift inferred.
         remapped = map_schema(lifted.schema, lifted.options)
         assert remapped.relational.relations
+
+    @pytest.mark.parametrize("dialect", sorted(PROFILES))
+    def test_compound_key_entity_is_a_lift_error(self, dialect):
+        with pytest.raises(LiftError, match="relation 'Room'"):
+            roundtrip(parse(COMPOUND_KEY), dialect=dialect)
 
     def test_lift_is_deterministic(self):
         ddl = map_schema(cris_schema(), MappingOptions()).sql("sql2")
@@ -199,6 +225,19 @@ class TestCli:
         code, output = self.run("reverse", str(path), "--fixpoint")
         assert code == 0
         assert "PASS" in output
+
+    def test_reverse_unliftable_ddl_is_one_error_line(self, tmp_path):
+        path = tmp_path / "compound.sql"
+        path.write_text(map_schema(parse(COMPOUND_KEY)).sql("sql2"))
+        code, output = self.run("reverse", str(path))
+        assert code == 1
+        assert output.startswith("error: relation 'Room'")
+        assert output.count("\n") == 1
+        path = tmp_path / "compound.ridl"
+        path.write_text(COMPOUND_KEY)
+        code, output = self.run("reverse", str(path), "--fixpoint")
+        assert code == 2
+        assert output.startswith("error: relation 'Room'")
 
     def test_reverse_unparseable_ddl_exits_2(self, tmp_path):
         path = tmp_path / "legacy.sql"
